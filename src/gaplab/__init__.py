@@ -59,8 +59,6 @@ from .worlds import (
 )
 from .c3 import (
     C3Config,
-    ModalityMeans,
-    compute_means,
     collapse,
     corrupt,
     train_transform,
@@ -73,8 +71,6 @@ from .bench import (
     AblationRow,
     make_toy_task,
     train_decoder,
-    fit_one_vs_rest,
-    classify,
     evaluate_crossmodal,
     in_modality_metric,
     run_ablation,

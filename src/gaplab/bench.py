@@ -44,8 +44,6 @@ __all__ = [
     "SIGMA_GRID",
     "make_toy_task",
     "train_decoder",
-    "fit_one_vs_rest",
-    "classify",
     "evaluate_crossmodal",
     "in_modality_metric",
     "run_ablation",
@@ -250,20 +248,6 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     xc = x - x_mean
     w = np.linalg.solve(xc.T @ xc + lam * np.eye(x.shape[1]), xc.T @ (t - t_mean))
     return RidgeDecoder(weights=w, bias=t_mean - x_mean @ w, lam=lam)
-
-
-def fit_one_vs_rest(
-    inputs: np.ndarray, labels: np.ndarray, n_classes: int, lam: float = 1e-3
-) -> RidgeDecoder:
-    """One-vs-rest ridge classifier: +-1 targets per class, argmax to predict."""
-    labels = np.asarray(labels)
-    targets = np.where(labels[:, None] == np.arange(n_classes), 1.0, -1.0)
-    return train_decoder(inputs, targets, lam)
-
-
-def classify(decoder: RidgeDecoder, inputs: np.ndarray) -> np.ndarray:
-    """Argmax over the one-vs-rest scores."""
-    return decoder.predict(inputs).argmax(axis=1)
 
 
 def _variant_config(variant: str, sigma: float, task: ToyTask, noise_seed: int) -> C3Config:

@@ -22,8 +22,6 @@ from .linalg import as_array
 
 __all__ = [
     "C3Config",
-    "ModalityMeans",
-    "compute_means",
     "collapse",
     "corrupt",
     "train_transform",
@@ -57,23 +55,6 @@ class C3Config:
             if abs(np.linalg.norm(g) - 1.0) > 1e-9:
                 raise ValueError("gap_direction must be unit-norm")
             object.__setattr__(self, "gap_direction", g)
-
-
-@dataclass(frozen=True)
-class ModalityMeans:
-    """Dataset-average embedding of each modality."""
-
-    mean_x: np.ndarray
-    mean_y: np.ndarray
-
-    def __post_init__(self):
-        if self.mean_x.shape != self.mean_y.shape:
-            raise ValueError("modality means must share a dimension")
-
-
-def compute_means(x, y) -> ModalityMeans:
-    """Arithmetic mean embedding of each modality."""
-    return ModalityMeans(mean_x=as_array(x).mean(axis=0), mean_y=as_array(y).mean(axis=0))
 
 
 def collapse(m, mean: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Command-line experiment runner with deterministic JSON/CSV reports.
 
-Every command resolves its parameters from built-in defaults, overridden by
-an optional JSON config file (unknown keys rejected), overridden by the
-``--seed`` flag. The resolved config is echoed into every report, reports
-carry no timestamps, and float formatting is fixed, so rerunning a command
-with the same config and seed reproduces the report files byte for byte.
-Exit status is 0 exactly when every check the command ran passed.
+Every command is one entry of ``_COMMANDS``: its runner and its defaults.
+Parameters resolve from those defaults, overridden by an optional JSON
+config file (unknown keys rejected), overridden by the ``--seed`` flag;
+``--long-running`` sets train-sim's ``long_running`` key. Each value must
+have its default's type (an int default takes only an int, a float default
+an int or a float, a list default a non-empty list of numbers), or the
+command exits with status 2. The resolved config is echoed into every
+report, reports carry no timestamps, and float formatting is fixed, so
+rerunning a command with the same config and seed reproduces the report
+files byte for byte. Exit status is 0 exactly when every check the command
+ran passed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,8 @@ from .contrastive import (
     stable_region_threshold,
     train_contrastive,
 )
-from .linalg import EmbeddingMatrix, PairedEmbeddings, l2_normalize_rows, spectral_summary
+from .linalg import (EmbeddingMatrix, PairedEmbeddings, SpectralSummary, covariance,
+                     l2_normalize_rows, spectral_summary)
 from .geometry import group_pairs, group_statistics, masked_gap_distance
 
 RANK_GAMMA = 1.0 - 1e-9
@@ -36,19 +42,6 @@ RANK_GAMMA = 1.0 - 1e-9
 
 # ---------------------------------------------------------------------------
 # report plumbing
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def _cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
@@ -88,9 +81,9 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
             "checks": _jsonable(checks),
             "passed": passed,
         }
-        _atomic_write_text(
+        embio._atomic_write(
             os.path.join(out_dir, f"{command}.json"),
-            json.dumps(doc, sort_keys=True, indent=2) + "\n",
+            (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"),
         )
     if fmt in ("csv", "both"):
         prefix = [f"# command={command}"]
@@ -99,8 +92,9 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
             lines = list(prefix)
             lines.append(",".join(header))
             lines += [",".join(_cell(v) for v in row) for row in rows]
-            _atomic_write_text(
-                os.path.join(out_dir, f"{command}.{name}.csv"), "\n".join(lines) + "\n"
+            embio._atomic_write(
+                os.path.join(out_dir, f"{command}.{name}.csv"),
+                ("\n".join(lines) + "\n").encode("utf-8"),
             )
     return passed
 
@@ -162,12 +156,10 @@ def _cmd_simulate_init(p):
     w = worlds.make_collapsed_init_world(p["n"], p["d"], p["dex"], p["dey"], p["seed"])
     full = masked_gap_distance(w.pairs, np.arange(p["d"]))
     masked = masked_gap_distance(w.pairs, w.shared_ineffective)
-    from .linalg import covariance
-
     sx = spectral_summary(covariance(w.pre_norm_x), RANK_GAMMA)
     sy = spectral_summary(covariance(w.pre_norm_y), RANK_GAMMA)
-    sx_g = spectral_summary(covariance(w.pre_norm_x), p["gamma"])
-    sy_g = spectral_summary(covariance(w.pre_norm_y), p["gamma"])
+    sx_g = SpectralSummary(sx.singular_values, p["gamma"])
+    sy_g = SpectralSummary(sy.singular_values, p["gamma"])
     results = {
         "full_gap": full,
         "masked_gap": masked,
@@ -201,7 +193,8 @@ def _cmd_simulate_init(p):
     return results, checks, tables
 
 
-def _cmd_train_sim(p, long_running=False):
+def _cmd_train_sim(p):
+    long_running = p["long_running"]
     if long_running:
         p = dict(p, n=1000, steps=200000, renormalize_each_step=True,
                  gradient_form="exact", init="unit")
@@ -217,7 +210,6 @@ def _cmd_train_sim(p, long_running=False):
         steps=p["steps"],
         renormalize_each_step=p["renormalize_each_step"],
         record_every=p["record_every"],
-        seed=p["seed"],
         gradient_form=p["gradient_form"],
     )
     res = train_contrastive(init, p["tau"], cfg, masked_dims=w.shared_ineffective)
@@ -236,10 +228,11 @@ def _cmd_train_sim(p, long_running=False):
         "loss_finite": all(math.isfinite(v) for v in losses),
         "loss_decreased": losses[-1] < losses[0],
     }
+    if p["gradient_form"] == "span":
+        checks["masked_grad_exactly_zero"] = results["max_masked_grad"] == 0.0
     if long_running:
         checks["masked_gap_near_0.82"] = abs(traj[-1].gap_masked - 0.82) <= 0.1
     else:
-        checks["masked_grad_exactly_zero"] = results["max_masked_grad"] == 0.0
         checks["final_loss_below_0.01"] = losses[-1] < 0.01
         checks["masked_gap_in_band"] = 0.7 <= traj[-1].gap_masked <= 1.1
     rows = [
@@ -374,11 +367,16 @@ def _cmd_gap_stats(p):
     return results, checks, tables
 
 
-def _cmd_c3_bench(p):
-    task_kwargs = dict(
+def _task_kwargs(p):
+    """``bench.make_toy_task`` arguments shared by c3-bench and shift-sweep."""
+    return dict(
         n=p["n"], d=p["d"], latent=bench.LatentSpec("classification", p["classes"]),
         gap_norm=p["gap_norm"], sigma_align=p["sigma_align"], span_dim=p["span_dim"],
     )
+
+
+def _cmd_c3_bench(p):
+    task_kwargs = _task_kwargs(p)
     seeds = tuple(p["seed"] + s for s in range(p["seeds"]))
     rows = bench.run_ablation(task_kwargs, seeds=seeds,
                               sigma_grid=tuple(p["sigma_grid"]), lam=p["lam"])
@@ -407,10 +405,7 @@ def _cmd_c3_bench(p):
 
 
 def _cmd_shift_sweep(p):
-    task_kwargs = dict(
-        n=p["n"], d=p["d"], latent=bench.LatentSpec("classification", p["classes"]),
-        gap_norm=p["gap_norm"], sigma_align=p["sigma_align"], span_dim=p["span_dim"],
-    )
+    task_kwargs = _task_kwargs(p)
     seeds = [p["seed"] + s for s in range(p["seeds"])]
     shifts = [float(c) for c in p["shifts"]]
     curves = []
@@ -436,71 +431,88 @@ def _cmd_export(p):
     return results, {"written": os.path.exists(p["out_file"])}, []
 
 
-_DEFAULTS = {
-    "simulate-init": {"n": 1000, "d": 512, "dex": 25, "dey": 230, "gamma": 0.99, "seed": 0},
-    "train-sim": {
+class _Command(NamedTuple):
+    run: Callable[[dict], tuple]
+    defaults: dict
+
+
+_COMMANDS = {
+    "simulate-init": _Command(_cmd_simulate_init, {
+        "n": 1000, "d": 512, "dex": 25, "dey": 230, "gamma": 0.99, "seed": 0}),
+    "train-sim": _Command(_cmd_train_sim, {
         "n": 256, "d": 512, "dex": 25, "dey": 230, "tau": 0.07, "learning_rate": 0.1,
         "steps": 20000, "record_every": 100, "renormalize_each_step": False,
-        "gradient_form": "span", "init": "prenorm", "seed": 0,
-    },
-    "verify-gradients": {"batches": 100, "max_n": 8, "max_d": 16,
-                         "taus": [0.01, 0.07, 0.5], "h": 1e-5, "seed": 0},
-    "stable-region": {"n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01,
-                      "instances": 1000, "seed": 0},
-    "mlp-collapse": {"depth": 20, "width": 512, "n_inputs": 1000, "probe_stride": 5,
-                     "seeds": 5, "gamma": 0.99, "seed": 0},
-    "gap-stats": {"n": 10000, "d": 512, "span_dim": 64, "gap_norm": 0.83, "sigma": 0.05,
-                  "noise_mode": "full", "group_size": 100, "pairs_per_group": 1000,
-                  "x_file": "", "y_file": "", "file_format": "mmeb", "seed": 0},
-    "c3-bench": {"n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
-                 "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
-                 "sigma_grid": [0.01, 0.05, 0.1, 0.2], "seed": 0},
-    "shift-sweep": {"n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.0,
-                    "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
-                    "shifts": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
-                    "shift_mode": "orthogonal", "seed": 0},
-    "export": {"in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv",
-               "seed": 0},
+        "gradient_form": "span", "init": "prenorm", "long_running": False, "seed": 0}),
+    "verify-gradients": _Command(_cmd_verify_gradients, {
+        "batches": 100, "max_n": 8, "max_d": 16, "taus": [0.01, 0.07, 0.5], "h": 1e-5,
+        "seed": 0}),
+    "stable-region": _Command(_cmd_stable_region, {
+        "n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01, "instances": 1000,
+        "seed": 0}),
+    "mlp-collapse": _Command(_cmd_mlp_collapse, {
+        "depth": 20, "width": 512, "n_inputs": 1000, "probe_stride": 5, "seeds": 5,
+        "gamma": 0.99, "seed": 0}),
+    "gap-stats": _Command(_cmd_gap_stats, {
+        "n": 10000, "d": 512, "span_dim": 64, "gap_norm": 0.83, "sigma": 0.05,
+        "noise_mode": "full", "group_size": 100, "pairs_per_group": 1000,
+        "x_file": "", "y_file": "", "file_format": "mmeb", "seed": 0}),
+    "c3-bench": _Command(_cmd_c3_bench, {
+        "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
+        "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": [0.01, 0.05, 0.1, 0.2],
+        "seed": 0}),
+    "shift-sweep": _Command(_cmd_shift_sweep, {
+        "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.0,
+        "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
+        "shifts": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
+        "shift_mode": "orthogonal", "seed": 0}),
+    "export": _Command(_cmd_export, {
+        "in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv", "seed": 0}),
 }
 
-_RUNNERS = {
-    "simulate-init": _cmd_simulate_init,
-    "train-sim": _cmd_train_sim,
-    "verify-gradients": _cmd_verify_gradients,
-    "stable-region": _cmd_stable_region,
-    "mlp-collapse": _cmd_mlp_collapse,
-    "gap-stats": _cmd_gap_stats,
-    "c3-bench": _cmd_c3_bench,
-    "shift-sweep": _cmd_shift_sweep,
-    "export": _cmd_export,
-}
+
+def _has_type(value, default) -> bool:
+    """Whether a config value may stand where ``default`` does (bools are not ints)."""
+    if isinstance(default, list):
+        return isinstance(value, list) and len(value) > 0 and all(_has_type(v, 0.0) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _check_config(command: str, params: dict) -> None:
+    """Raise ValueError unless ``params`` has exactly the command's keys, typed as its defaults."""
+    defaults = _COMMANDS[command].defaults
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
+    for key, default in defaults.items():
+        if key not in params:
+            raise ValueError(f"missing config key for {command}: {key}")
+        if not _has_type(params[key], default):
+            kind = "a non-empty list of numbers" if isinstance(default, list) else type(default).__name__
+            raise ValueError(f"config key {key} for {command} must be {kind}, got {params[key]!r}")
 
 
 def resolve_config(command: str, config_path: str | None, seed: int | None) -> dict:
     """Defaults, overridden by the JSON config file, overridden by --seed."""
-    params = dict(_DEFAULTS[command])
+    params = dict(_COMMANDS[command].defaults)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = sorted(set(loaded) - set(params))
-        if unknown:
-            raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
         params.update(loaded)
     if seed is not None:
         params["seed"] = seed
+    _check_config(command, params)
     return params
 
 
-def run_command(command: str, params: dict, out_dir: str, fmt: str = "both",
-                long_running: bool = False) -> bool:
-    """Execute one command and write its reports; returns the pass flag."""
-    runner = _RUNNERS[command]
-    if command == "train-sim":
-        results, checks, tables = runner(params, long_running=long_running)
-    else:
-        results, checks, tables = runner(params)
-    config = dict(params, long_running=long_running) if command == "train-sim" else params
-    return write_reports(out_dir, command, config, results, checks, tables, fmt)
+def run_command(command: str, params: dict, out_dir: str, fmt: str = "both") -> bool:
+    """Check ``params``, execute one command and write its reports; returns the pass flag."""
+    _check_config(command, params)
+    results, checks, tables = _COMMANDS[command].run(params)
+    return write_reports(out_dir, command, params, results, checks, tables, fmt)
 
 
 def main(argv=None) -> int:
@@ -508,18 +520,21 @@ def main(argv=None) -> int:
         prog="gaplab",
         description="Experiments on the geometry of multi-modal contrastive embedding spaces.",
     )
-    parser.add_argument("command", choices=sorted(_RUNNERS))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON file overriding the command's defaults")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="gaplab-reports", help="report output directory")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
     parser.add_argument("--long-running", action="store_true",
-                        help="full-scale contrastive training reproduction (hours)")
+                        help="train-sim only: set long_running, the full-scale "
+                             "contrastive training reproduction (hours)")
     args = parser.parse_args(argv)
 
     try:
         params = resolve_config(args.command, args.config, args.seed)
-        ok = run_command(args.command, params, args.out, args.format, args.long_running)
+        if args.long_running:
+            params["long_running"] = True
+        ok = run_command(args.command, params, args.out, args.format)
     except (ValueError, OSError, embio.EmbeddingFileError) as exc:
         print(f"gaplab {args.command}: error: {exc}", file=sys.stderr)
         return 2

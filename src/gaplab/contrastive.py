@@ -192,7 +192,6 @@ class TrainerConfig:
     steps: int = 1000
     renormalize_each_step: bool = True
     record_every: int = 100
-    seed: int = 0
     gradient_form: str = "exact"
 
     def __post_init__(self):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -69,8 +68,15 @@ class RaggedCsvError(EmbeddingFileError):
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-emb-")
+    """Write ``data`` to ``path`` through a temp file renamed into place.
+
+    Shared by every file the package writes (matrices and CLI reports). The
+    temp file is created with mode 0o666, so the process umask decides the
+    final permissions as it would for a plain ``open``.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.getpid()}-{os.urandom(4).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

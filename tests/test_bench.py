@@ -5,9 +5,7 @@ import pytest
 
 from gaplab.bench import (
     LatentSpec,
-    classify,
     evaluate_crossmodal,
-    fit_one_vs_rest,
     gap_shift_sweep,
     in_modality_metric,
     make_toy_task,
@@ -106,14 +104,6 @@ class TestRidgeDecoder:
     def test_zero_penalty_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             train_decoder(np.ones((3, 2)), np.ones((3, 1)), lam=0.0)
-
-    def test_one_vs_rest_classifier(self):
-        rng = np.random.default_rng(8)
-        centers = np.eye(4) * 3
-        labels = rng.integers(0, 4, size=400)
-        x = centers[labels] + 0.3 * rng.standard_normal((400, 4))
-        dec = fit_one_vs_rest(x, labels, n_classes=4, lam=1e-3)
-        assert (classify(dec, x) == labels).mean() > 0.98
 
 
 class TestEvaluate:

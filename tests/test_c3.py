@@ -3,30 +3,10 @@
 import numpy as np
 import pytest
 
-from gaplab.c3 import C3Config, collapse, compute_means, corrupt, train_transform
+from gaplab.c3 import C3Config, collapse, corrupt, train_transform
 from gaplab.c3 import test_transform as apply_test_transform
 from gaplab.linalg import row_mean
 from gaplab.worlds import make_gap_world
-
-
-class TestMeans:
-    def test_symmetric_rows_zero_mean(self):
-        x = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        means = compute_means(x, x)
-        np.testing.assert_array_equal(means.mean_x, [0.0, 0.0])
-
-    def test_single_row_is_itself(self):
-        x = np.array([[3.0, 4.0, 5.0]])
-        means = compute_means(x, x)
-        np.testing.assert_array_equal(means.mean_x, [3.0, 4.0, 5.0])
-
-    def test_matches_row_mean(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((40, 6))
-        y = rng.standard_normal((40, 6))
-        means = compute_means(x, y)
-        np.testing.assert_array_equal(means.mean_x, row_mean(x))
-        np.testing.assert_array_equal(means.mean_y, row_mean(y))
 
 
 class TestCollapse:

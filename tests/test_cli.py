@@ -1,10 +1,12 @@
 """CLI plumbing tests: config resolution, reports, determinism, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from gaplab import cli
 from gaplab.cli import main, resolve_config
 from gaplab.embio import read_csv, write_mmeb
 
@@ -36,6 +38,58 @@ class TestConfigResolution:
         cfg.write_text(json.dumps({"nonsense": 1}))
         with pytest.raises(ValueError, match="nonsense"):
             resolve_config("verify-gradients", str(cfg), None)
+
+
+# A value of the wrong type for each kind of default.
+WRONG_TYPE = {bool: 1, int: 1.5, float: "abc", str: 7, list: []}
+TABLE_KEYS = [(command, key) for command in sorted(cli._COMMANDS)
+              for key in resolve_config(command, None, None)]
+
+
+def exits_2_with_one_line(capsys, tmp_path, command, config, *flags):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(f"gaplab {command}: error: ")
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before the runner ran
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command,key", TABLE_KEYS)
+    def test_wrong_type_exits_2(self, capsys, tmp_path, command, key):
+        default = resolve_config(command, None, None)[key]
+        exits_2_with_one_line(capsys, tmp_path, command, {key: WRONG_TYPE[type(default)]})
+
+    @pytest.mark.parametrize("command,config", [
+        ("verify-gradients", {"taus": []}),
+        ("train-sim", {"steps": 1.5}),
+        ("simulate-init", {"n": "abc"}),
+        ("stable-region", {"instances": True}),
+        ("verify-gradients", {"taus": [0.07, "x"]}),
+        ("gap-stats", [1, 2]),
+    ])
+    def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
+        exits_2_with_one_line(capsys, tmp_path, command, config)
+
+    def test_long_running_flag_only_for_train_sim(self, capsys, tmp_path):
+        exits_2_with_one_line(capsys, tmp_path, "stable-region", {}, "--long-running")
+
+    def test_run_command_checks_params(self, tmp_path):
+        params = dict(resolve_config("train-sim", None, None), steps=1.5)
+        with pytest.raises(ValueError, match="steps"):
+            cli.run_command("train-sim", params, str(tmp_path))
+        params = resolve_config("train-sim", None, None)
+        del params["steps"]
+        with pytest.raises(ValueError, match="steps"):
+            cli.run_command("train-sim", params, str(tmp_path))
+
+    def test_float_default_takes_an_int(self):
+        params = dict(resolve_config("stable-region", None, None), taus=[1], delta=0)
+        cli._check_config("stable-region", params)
 
 
 class TestCommands:
@@ -119,6 +173,17 @@ class TestCommands:
         assert doc["results"]["final_loss"] < 0.01
         assert (out / "train-sim.trajectory.csv").exists()
 
+    def test_train_sim_exact_form_skips_masked_grad_check(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 64, "steps": 200, "record_every": 100,
+                                   "gradient_form": "exact"}))
+        out = tmp_path / "out"
+        rc = main(["train-sim", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "train-sim.json").read_text())
+        assert "masked_grad_exactly_zero" not in doc["checks"]
+        assert doc["results"]["max_masked_grad"] > 0.0
+
     def test_mlp_collapse_small_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"depth": 10, "width": 64, "n_inputs": 200, "seeds": 2}))
@@ -175,3 +240,19 @@ class TestCommands:
                                    "out_file": str(tmp_path / "o.csv")}))
         rc = main(["export", "--config", str(cfg), "--out", str(tmp_path / "rep")])
         assert rc == 2
+
+    def test_files_honour_umask(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("1.0,2.0\n3.0,4.0\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"in_file": str(src), "in_format": "csv",
+                                   "out_file": str(tmp_path / "m.mmeb"), "out_format": "mmeb"}))
+        old = os.umask(0o022)
+        try:
+            rc = main(["export", "--config", str(cfg), "--out", str(tmp_path / "rep")])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        for path in (tmp_path / "m.mmeb", tmp_path / "rep" / "export.json"):
+            assert path.stat().st_mode & 0o777 == 0o644
+        assert [p.name for p in (tmp_path / "rep").iterdir()] == ["export.json"]
