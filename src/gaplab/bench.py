@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, test_transform, train_transform
+from .c3 import (C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse,
+                 test_transform, train_transform)
 from .linalg import EmbeddingMatrix, PairedEmbeddings, l2_normalize_rows
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 VARIANTS = ("c1", "c21", "c22", "c22_span", "c3")
+_CORRUPTING = ("c22", "c22_span", "c3")
 SIGMA_GRID = (0.01, 0.05, 0.1, 0.2)
 
 # Class-code layout (classification tasks). Victim codes sit far from the
@@ -253,8 +255,8 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
 def _variant_config(variant: str, sigma: float, task: ToyTask, noise_seed: int) -> C3Config:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    collapse = variant in ("c21", "c3")
-    corrupt = variant in ("c22", "c22_span", "c3")
+    collapsing = variant in ("c21", "c3")
+    corrupt = variant in _CORRUPTING
     mode = MODE_SPAN_ONLY if variant == "c22_span" else MODE_FULL
     gap_dir = None
     if mode == MODE_SPAN_ONLY:
@@ -262,7 +264,7 @@ def _variant_config(variant: str, sigma: float, task: ToyTask, noise_seed: int) 
             raise ValueError("span-only corruption needs a gap direction")
         gap_dir = task.gap_direction
     return C3Config(
-        collapse=collapse,
+        collapse=collapsing,
         corrupt=corrupt,
         sigma=sigma if corrupt else 0.0,
         mode=mode,
@@ -292,6 +294,12 @@ def _metric(task: ToyTask, pred: np.ndarray, idx: np.ndarray) -> float:
     return float(((pred - task.targets[idx]) ** 2).mean())
 
 
+def _score(task: ToyTask, train_rows: np.ndarray, test_inputs: np.ndarray, lam: float) -> float:
+    """Fit the decoder on ``train_rows`` and score it on decoded test rows."""
+    decoder = train_decoder(_decode_inputs(task, train_rows), task.targets[task.train_idx], lam)
+    return _metric(task, decoder.predict(test_inputs), task.test_idx)
+
+
 def evaluate_crossmodal(
     task: ToyTask,
     variant: str = "c3",
@@ -312,10 +320,7 @@ def evaluate_crossmodal(
 
     train_rows = train_transform(y_train, y_train.mean(axis=0), cfg)
     test_rows = test_transform(x_test, x_test.mean(axis=0)) if cfg.collapse else x_test
-
-    decoder = train_decoder(_decode_inputs(task, train_rows), task.targets[task.train_idx], lam)
-    pred = decoder.predict(_decode_inputs(task, test_rows))
-    return _metric(task, pred, task.test_idx)
+    return _score(task, train_rows, _decode_inputs(task, test_rows), lam)
 
 
 def in_modality_metric(task: ToyTask, lam: float = 1e-3) -> float:
@@ -349,26 +354,47 @@ def run_ablation(
     Variants without a corruption stage ignore the sweep. For each variant
     the grid entry with the best seed-mean metric is reported (highest
     accuracy; lowest MSE for regression tasks).
+
+    Seeds form the outer loop, so one task is alive at a time. Per seed the
+    raw and collapsed rows are prepared once and the keyed unit noise of
+    the train rows is drawn once; every corrupting variant and sigma
+    rescales that one draw. Each metric equals what ``evaluate_crossmodal``
+    returns for the same variant, sigma and noise seed ``1000 + seed``.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     task_kwargs = dict(task_kwargs or {})
-    tasks = [make_toy_task(seed=s, **task_kwargs) for s in seeds]
-    higher_better = tasks[0].latent_spec.kind == "classification"
+    plan = [(v, sigma_grid if v in _CORRUPTING else (0.0,)) for v in variants]
+    vals = [[[] for _ in grid] for _, grid in plan]  # [variant][sigma] -> metric per seed
 
+    for s in seeds:
+        task = make_toy_task(seed=s, **task_kwargs)
+        y_train = task.pairs.y.values[task.train_idx]
+        x_test = task.pairs.x.values[task.test_idx]
+        train_base = {False: y_train, True: collapse(y_train, y_train.mean(axis=0))}
+        test_inputs = {False: _decode_inputs(task, x_test),
+                       True: _decode_inputs(task, test_transform(x_test, x_test.mean(axis=0)))}
+        unit = None
+        for (variant, grid), per_sigma in zip(plan, vals):
+            for sigma, out in zip(grid, per_sigma):
+                cfg = _variant_config(variant, sigma, task, noise_seed=1000 + s)
+                train_rows = train_base[cfg.collapse]
+                if cfg.corrupt and cfg.sigma != 0.0:
+                    if unit is None:
+                        unit = _unit_noise(cfg.seed, *y_train.shape)
+                    train_rows = _add_noise(train_rows, unit, cfg)
+                out.append(_score(task, train_rows, test_inputs[cfg.collapse], lam))
+
+    higher_better = task.latent_spec.kind == "classification"
     rows = []
-    for variant in variants:
-        grid = sigma_grid if variant in ("c22", "c22_span", "c3") else (0.0,)
+    for (variant, grid), per_sigma in zip(plan, vals):
         best = None
-        for sigma in grid:
-            vals = np.array(
-                [evaluate_crossmodal(t, variant, sigma, lam, noise_seed=1000 + s)
-                 for t, s in zip(tasks, seeds)]
-            )
-            mean = float(vals.mean())
+        for sigma, out in zip(grid, per_sigma):
+            seed_vals = np.array(out)
+            mean = float(seed_vals.mean())
             better = best is None or (mean > best[1] if higher_better else mean < best[1])
             if better:
-                best = (sigma, mean, float(vals.std()))
+                best = (sigma, mean, float(seed_vals.std()))
         rows.append(AblationRow(variant=variant, train_sigma=best[0],
                                 mean=best[1], std=best[2], seeds=len(seeds)))
     return rows

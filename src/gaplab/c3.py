@@ -8,7 +8,11 @@ isotropic or have its component along a given gap direction projected out
 
 Noise is drawn from a per-row stream keyed by (seed, row index), so the
 noise a row receives does not depend on how many rows are transformed
-alongside it and row-parallel execution stays deterministic.
+alongside it and row-parallel execution stays deterministic. The keyed
+draw is unit-variance and independent of sigma and mode, so one draw
+serves every noise level: ``corrupt`` draws it and scales it, and the
+ablation in ``bench`` draws it once per seed and scales the same block for
+every corrupting variant and sigma, through the same ``_add_noise``.
 """
 
 from __future__ import annotations
@@ -71,6 +75,23 @@ def _row_noise(seed: int, row: int, d: int) -> np.ndarray:
     return rng.standard_normal(d)
 
 
+def _unit_noise(seed: int, n: int, d: int) -> np.ndarray:
+    """Rows 0..n-1 of the keyed unit-variance noise for ``seed``."""
+    noise = np.empty((n, d))
+    for i in range(n):
+        noise[i] = _row_noise(seed, i, d)
+    return noise
+
+
+def _add_noise(a: np.ndarray, unit: np.ndarray, cfg: C3Config) -> np.ndarray:
+    """``a`` plus ``unit`` scaled by ``cfg.sigma``, span-only projected if asked."""
+    noise = unit * cfg.sigma
+    if cfg.mode == MODE_SPAN_ONLY:
+        g = cfg.gap_direction
+        noise -= np.outer(noise @ g, g)
+    return a + noise
+
+
 def corrupt(m, cfg: C3Config) -> np.ndarray:
     """Add Gaussian noise to every row per the config.
 
@@ -81,15 +102,7 @@ def corrupt(m, cfg: C3Config) -> np.ndarray:
     a = as_array(m)
     if cfg.sigma == 0.0:
         return a.copy()
-    n, d = a.shape
-    noise = np.empty_like(a)
-    for i in range(n):
-        noise[i] = _row_noise(cfg.seed, i, d)
-    noise *= cfg.sigma
-    if cfg.mode == MODE_SPAN_ONLY:
-        g = cfg.gap_direction
-        noise -= np.outer(noise @ g, g)
-    return a + noise
+    return _add_noise(a, _unit_noise(cfg.seed, *a.shape), cfg)
 
 
 def train_transform(m, mean: np.ndarray, cfg: C3Config) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Command-line experiment runner with deterministic JSON/CSV reports.
 
-Every command is one entry of ``_COMMANDS``: its runner and its defaults.
-Parameters resolve from those defaults, overridden by an optional JSON
-config file (unknown keys rejected), overridden by the ``--seed`` flag;
-``--long-running`` sets train-sim's ``long_running`` key. Each value must
-have its default's type (an int default takes only an int, a float default
-an int or a float, a list default a non-empty list of numbers), or the
-command exits with status 2. The resolved config is echoed into every
-report, reports carry no timestamps, and float formatting is fixed, so
+Every command is one entry of ``_COMMANDS``: its runner, its defaults and
+the keys whose values must be positive. Parameters resolve from those
+defaults, overridden by an optional JSON config file (unknown keys
+rejected), overridden by the ``--seed`` flag; ``--long-running`` sets
+train-sim's ``long_running`` key. Each value must have its default's type
+(an int default takes only an int, a float default an int or a float, a
+list default a non-empty list of numbers), and a positive key (``tau``,
+every ``taus`` entry, ``seeds``) must be > 0, or the command exits with
+status 2. The resolved config is echoed into every report, reports carry
+no timestamps and no NaN or infinity, and float formatting is fixed, so
 rerunning a command with the same config and seed reproduces the report
-files byte for byte. Exit status is 0 exactly when every check the command
-ran passed.
+files byte for byte. Exit status is 0 exactly when every check the
+command ran passed.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
         }
         embio._atomic_write(
             os.path.join(out_dir, f"{command}.json"),
-            (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+            (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8"),
         )
     if fmt in ("csv", "both"):
         prefix = [f"# command={command}"]
@@ -434,6 +436,7 @@ def _cmd_export(p):
 class _Command(NamedTuple):
     run: Callable[[dict], tuple]
     defaults: dict
+    positive: tuple = ()  # keys whose value, or every entry of whose list, must be > 0
 
 
 _COMMANDS = {
@@ -442,16 +445,17 @@ _COMMANDS = {
     "train-sim": _Command(_cmd_train_sim, {
         "n": 256, "d": 512, "dex": 25, "dey": 230, "tau": 0.07, "learning_rate": 0.1,
         "steps": 20000, "record_every": 100, "renormalize_each_step": False,
-        "gradient_form": "span", "init": "prenorm", "long_running": False, "seed": 0}),
+        "gradient_form": "span", "init": "prenorm", "long_running": False, "seed": 0},
+        positive=("tau",)),
     "verify-gradients": _Command(_cmd_verify_gradients, {
         "batches": 100, "max_n": 8, "max_d": 16, "taus": [0.01, 0.07, 0.5], "h": 1e-5,
-        "seed": 0}),
+        "seed": 0}, positive=("taus",)),
     "stable-region": _Command(_cmd_stable_region, {
         "n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01, "instances": 1000,
-        "seed": 0}),
+        "seed": 0}, positive=("taus",)),
     "mlp-collapse": _Command(_cmd_mlp_collapse, {
         "depth": 20, "width": 512, "n_inputs": 1000, "probe_stride": 5, "seeds": 5,
-        "gamma": 0.99, "seed": 0}),
+        "gamma": 0.99, "seed": 0}, positive=("seeds",)),
     "gap-stats": _Command(_cmd_gap_stats, {
         "n": 10000, "d": 512, "span_dim": 64, "gap_norm": 0.83, "sigma": 0.05,
         "noise_mode": "full", "group_size": 100, "pairs_per_group": 1000,
@@ -459,12 +463,12 @@ _COMMANDS = {
     "c3-bench": _Command(_cmd_c3_bench, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": [0.01, 0.05, 0.1, 0.2],
-        "seed": 0}),
+        "seed": 0}, positive=("seeds",)),
     "shift-sweep": _Command(_cmd_shift_sweep, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.0,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
         "shifts": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
-        "shift_mode": "orthogonal", "seed": 0}),
+        "shift_mode": "orthogonal", "seed": 0}, positive=("seeds",)),
     "export": _Command(_cmd_export, {
         "in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv", "seed": 0}),
 }
@@ -480,8 +484,9 @@ def _has_type(value, default) -> bool:
 
 
 def _check_config(command: str, params: dict) -> None:
-    """Raise ValueError unless ``params`` has exactly the command's keys, typed as its defaults."""
-    defaults = _COMMANDS[command].defaults
+    """Raise ValueError unless ``params`` has exactly the command's keys, typed as its
+    defaults, and its positive keys are > 0."""
+    defaults, positive = _COMMANDS[command].defaults, _COMMANDS[command].positive
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
@@ -491,6 +496,11 @@ def _check_config(command: str, params: dict) -> None:
         if not _has_type(params[key], default):
             kind = "a non-empty list of numbers" if isinstance(default, list) else type(default).__name__
             raise ValueError(f"config key {key} for {command} must be {kind}, got {params[key]!r}")
+        if key in positive:
+            value = params[key]
+            if not all(v > 0 for v in (value if isinstance(value, list) else [value])):
+                what = "every entry of" if isinstance(value, list) else "config key"
+                raise ValueError(f"{what} {key} for {command} must be > 0, got {value!r}")
 
 
 def resolve_config(command: str, config_path: str | None, seed: int | None) -> dict:

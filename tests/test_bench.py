@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from gaplab import c3
 from gaplab.bench import (
+    VARIANTS,
+    AblationRow,
     LatentSpec,
     evaluate_crossmodal,
     gap_shift_sweep,
@@ -14,6 +17,8 @@ from gaplab.bench import (
 )
 
 STANDARD = dict(n=5000, d=64, gap_norm=0.83, sigma_align=0.05, span_dim=16)
+REGRESSION = dict(n=1000, d=32, gap_norm=0.3, sigma_align=0.05, span_dim=16,
+                  latent=LatentSpec("regression", 4))
 
 
 def gradient_descent_ridge(x, t, lam, steps=60_000, lr=None):
@@ -155,15 +160,46 @@ class TestAblation:
         assert by["c22"].train_sigma in (0.01, 0.05, 0.1, 0.2)
 
     def test_regression_sweep_minimizes(self):
-        kwargs = dict(n=1000, d=32, gap_norm=0.3, sigma_align=0.05, span_dim=16,
-                      latent=LatentSpec("regression", 4))
-        rows = run_ablation(task_kwargs=kwargs, seeds=(0, 1), sigma_grid=(0.01, 0.1))
+        rows = run_ablation(task_kwargs=REGRESSION, seeds=(0, 1), sigma_grid=(0.01, 0.1))
         by = {r.variant: r for r in rows}
         assert all(r.mean > 0 for r in rows)
         # training noise only costs a linear pipeline accuracy, so the sweep
         # settles on the smallest grid entry for every corrupting variant
         assert by["c22"].train_sigma == 0.01
         assert by["c3"].train_sigma == 0.01
+
+    @pytest.mark.parametrize("kwargs,seeds,grid", [
+        (dict(n=600, d=32, gap_norm=0.83, sigma_align=0.05, span_dim=16), (0, 1, 2),
+         (0.01, 0.05, 0.2)),
+        (REGRESSION, (0, 1), (0.01, 0.1)),
+    ])
+    def test_bit_identical_to_per_cell_evaluation(self, kwargs, seeds, grid):
+        # the reference draws fresh noise through corrupt for every
+        # (variant, sigma, seed), as the ablation did before sharing draws
+        tasks = [make_toy_task(seed=s, **kwargs) for s in seeds]
+        higher_better = tasks[0].latent_spec.kind == "classification"
+        expected = []
+        for variant in VARIANTS:
+            best = None
+            for sigma in grid if variant in ("c22", "c22_span", "c3") else (0.0,):
+                vals = np.array([evaluate_crossmodal(t, variant, sigma, 1e-3, noise_seed=1000 + s)
+                                 for t, s in zip(tasks, seeds)])
+                mean = float(vals.mean())
+                if best is None or (mean > best[1] if higher_better else mean < best[1]):
+                    best = (sigma, mean, float(vals.std()))
+            expected.append(AblationRow(variant, best[0], best[1], best[2], len(seeds)))
+        assert run_ablation(task_kwargs=kwargs, seeds=seeds, sigma_grid=grid) == expected
+
+    def test_noise_drawn_once_per_seed(self, monkeypatch):
+        calls = []
+        row_noise = c3._row_noise
+        monkeypatch.setattr(c3, "_row_noise", lambda *a: calls.append(a) or row_noise(*a))
+        kwargs = dict(n=400, d=32, gap_norm=0.83, sigma_align=0.05, span_dim=16)
+        seeds = (0, 1, 2)
+        run_ablation(task_kwargs=kwargs, seeds=seeds)
+        n_train = len(make_toy_task(seed=0, **kwargs).train_idx)
+        assert len(calls) == len(seeds) * n_train  # not x 3 variants x 4 sigmas
+        assert sorted({a[0] for a in calls}) == [1000 + s for s in seeds]
 
 
 class TestShiftSweep:

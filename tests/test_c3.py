@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaplab.c3 import C3Config, collapse, corrupt, train_transform
+from gaplab.c3 import C3Config, _add_noise, _unit_noise, collapse, corrupt, train_transform
 from gaplab.c3 import test_transform as apply_test_transform
 from gaplab.linalg import row_mean
 from gaplab.worlds import make_gap_world
@@ -90,6 +90,17 @@ class TestCorrupt:
         c = corrupt(m, C3Config(sigma=1.0, seed=4))
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
+
+    def test_one_draw_serves_every_sigma_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal(12)
+        g /= np.linalg.norm(g)
+        m = rng.standard_normal((40, 12))
+        unit = _unit_noise(5, 40, 12)
+        for sigma in (0.01, 0.05, 0.1, 0.2):
+            for cfg in (C3Config(sigma=sigma, seed=5),
+                        C3Config(sigma=sigma, mode="span_only", gap_direction=g, seed=5)):
+                np.testing.assert_array_equal(_add_noise(m, unit, cfg), corrupt(m, cfg))
 
 
 class TestPipelines:

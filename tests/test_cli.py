@@ -71,9 +71,22 @@ class TestConfigTypes:
         ("stable-region", {"instances": True}),
         ("verify-gradients", {"taus": [0.07, "x"]}),
         ("gap-stats", [1, 2]),
+        ("train-sim", {"tau": 0}),
+        ("train-sim", {"tau": -0.07}),
+        ("verify-gradients", {"taus": [0.07, 0]}),
+        ("stable-region", {"taus": [-0.5, 0.07]}),
+        ("shift-sweep", {"seeds": 0}),
+        ("mlp-collapse", {"seeds": 0}),
+        ("c3-bench", {"seeds": -1}),
     ])
     def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
         exits_2_with_one_line(capsys, tmp_path, command, config)
+
+    def test_nan_never_reaches_a_report(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_reports(str(tmp_path), "shift-sweep", {"seed": 0},
+                              {"curve": [float("nan")]}, {}, [])
+        assert list(tmp_path.iterdir()) == []
 
     def test_long_running_flag_only_for_train_sim(self, capsys, tmp_path):
         exits_2_with_one_line(capsys, tmp_path, "stable-region", {}, "--long-running")
