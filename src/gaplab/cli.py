@@ -7,7 +7,8 @@ rejected), overridden by the ``--seed`` flag; ``--long-running`` sets
 train-sim's ``long_running`` key. Each value must have its default's type
 (an int default takes only an int, a float default an int or a float, a
 list default a non-empty list of numbers), and a positive key (``tau``,
-every ``taus`` entry, ``seeds``) must be > 0, or the command exits with
+every ``taus`` entry, ``seeds`` and the counts ``batches``, ``instances``,
+``depth`` and ``pairs_per_group``) must be > 0, or the command exits with
 status 2. The resolved config is echoed into every report, reports carry
 no timestamps and no NaN or infinity, and float formatting is fixed, so
 rerunning a command with the same config and seed reproduces the report
@@ -449,17 +450,18 @@ _COMMANDS = {
         positive=("tau",)),
     "verify-gradients": _Command(_cmd_verify_gradients, {
         "batches": 100, "max_n": 8, "max_d": 16, "taus": [0.01, 0.07, 0.5], "h": 1e-5,
-        "seed": 0}, positive=("taus",)),
+        "seed": 0}, positive=("batches", "taus")),
     "stable-region": _Command(_cmd_stable_region, {
         "n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01, "instances": 1000,
-        "seed": 0}, positive=("taus",)),
+        "seed": 0}, positive=("taus", "instances")),
     "mlp-collapse": _Command(_cmd_mlp_collapse, {
         "depth": 20, "width": 512, "n_inputs": 1000, "probe_stride": 5, "seeds": 5,
-        "gamma": 0.99, "seed": 0}, positive=("seeds",)),
+        "gamma": 0.99, "seed": 0}, positive=("depth", "seeds")),
     "gap-stats": _Command(_cmd_gap_stats, {
         "n": 10000, "d": 512, "span_dim": 64, "gap_norm": 0.83, "sigma": 0.05,
         "noise_mode": "full", "group_size": 100, "pairs_per_group": 1000,
-        "x_file": "", "y_file": "", "file_format": "mmeb", "seed": 0}),
+        "x_file": "", "y_file": "", "file_format": "mmeb", "seed": 0},
+        positive=("pairs_per_group",)),
     "c3-bench": _Command(_cmd_c3_bench, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": [0.01, 0.05, 0.1, 0.2],

@@ -15,6 +15,11 @@ with lambda = 1/(2 n tau), which confines each gradient row to the span
 of the other modality's row differences. The two coincide exactly when
 sum_i p(x_k|y_i) = 1 for every k (uniform pair marginals); in general
 they differ by lambda * (1 - sum_i p(x_k|y_i)) * y_k per row.
+
+All of it comes from one logits pass (``_forward``): z = x y^T / tau is
+formed once, both softmaxes are max-shifted exps, and the loss reuses their
+exp sums. The gradients of either form weigh rows by W = P_row + P_col,
+summed in place, at two n x n x d products (W @ y, W^T @ x) per step.
 """
 
 from __future__ import annotations
@@ -84,34 +89,40 @@ class GradientPair:
 _EXP_FLOOR = -700.0
 
 
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    z = np.maximum(z - z.max(axis=axis, keepdims=True), _EXP_FLOOR)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
-    m = z.max(axis=axis)
-    shifted = np.maximum(z - np.expand_dims(m, axis), _EXP_FLOOR)
-    return m + np.log(np.exp(shifted).sum(axis=axis))
-
-
-def _loss_arrays(x: np.ndarray, y: np.ndarray, tau: float) -> float:
+def _forward(x: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(P_row, P_col, loss) with P_row[k, i] = p(y_i | x_k), P_col[k, i] = p(x_k | y_i)."""
     z = x @ y.T / tau
-    diag = np.diag(z)
-    n = x.shape[0]
-    return float(-(2.0 * diag - _logsumexp(z, axis=1) - _logsumexp(z, axis=0)).sum() / (2.0 * n))
+    probs, lses = [], []
+    for axis in (1, 0):
+        m = z.max(axis=axis, keepdims=True)
+        e = z - m
+        np.maximum(e, _EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        s = e.sum(axis=axis, keepdims=True)
+        e /= s
+        probs.append(e)
+        lses.append((m + np.log(s)).ravel())
+    loss = -(2.0 * np.diagonal(z) - lses[0] - lses[1]).sum() / (2.0 * x.shape[0])
+    return probs[0], probs[1], float(loss)
 
 
-def _exact_grad_arrays(x: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[0]
-    z = x @ y.T / tau
-    p_row = _softmax(z, axis=1)  # p_row[k, i] = p(y_i | x_k)
-    p_col = _softmax(z, axis=0)  # p_col[k, i] = p(x_k | y_i)
-    lam = 1.0 / (2.0 * n * tau)
-    grad_x = -lam * (2.0 * y - p_row @ y - p_col @ y)
-    grad_y = -lam * (2.0 * x - p_row.T @ x - p_col.T @ x)
-    return grad_x, grad_y
+def _gradients(
+    x: np.ndarray, y: np.ndarray, tau: float, span: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(grad_x, grad_y, loss) of the exact or the span form from one ``_forward`` pass."""
+    w, p_col, loss = _forward(x, y, tau)
+    w += p_col
+    lam = 1.0 / (2.0 * x.shape[0] * tau)
+    if not span:
+        return -lam * (2.0 * y - w @ y), -lam * (2.0 * x - w.T @ x), loss
+    # Shifting by the first row before weighting telescopes away exactly, but
+    # makes coordinates where all rows agree contribute bitwise-exact zeros.
+    ys = y - y[0]
+    grad_x = lam * (w @ ys - w.sum(axis=1)[:, None] * ys)
+    w_y = w.T
+    xs = x - x[0]
+    grad_y = lam * (w_y @ xs - w_y.sum(axis=1)[:, None] * xs)
+    return grad_x, grad_y, loss
 
 
 def conditional_probs(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -121,15 +132,13 @@ def conditional_probs(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray]:
     both matrices sums to 1. Computed with max-subtraction so no choice of
     temperature can overflow.
     """
-    z = batch.pairs.x.values @ batch.pairs.y.values.T / batch.tau
-    p_xy = _softmax(z, axis=0)
-    p_yx = _softmax(z, axis=1).T
-    return p_xy, p_yx
+    p_row, p_col, _ = _forward(batch.pairs.x.values, batch.pairs.y.values, batch.tau)
+    return p_col, p_row.T
 
 
 def contrastive_loss(batch: ContrastiveBatch) -> float:
     """Value of the symmetric contrastive objective (non-negative)."""
-    return _loss_arrays(batch.pairs.x.values, batch.pairs.y.values, batch.tau)
+    return _forward(batch.pairs.x.values, batch.pairs.y.values, batch.tau)[2]
 
 
 def exact_gradients(batch: ContrastiveBatch) -> GradientPair:
@@ -139,25 +148,8 @@ def exact_gradients(batch: ContrastiveBatch) -> GradientPair:
 
     and symmetrically for grad_{y_k}.
     """
-    gx, gy = _exact_grad_arrays(batch.pairs.x.values, batch.pairs.y.values, batch.tau)
+    gx, gy, _ = _gradients(batch.pairs.x.values, batch.pairs.y.values, batch.tau, span=False)
     return GradientPair(grad_x=gx, grad_y=gy)
-
-
-def _span_grad_arrays(x: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[0]
-    z = x @ y.T / tau
-    p_row = _softmax(z, axis=1)
-    p_col = _softmax(z, axis=0)
-    lam = 1.0 / (2.0 * n * tau)
-    # Shifting by the first row before weighting telescopes away exactly, but
-    # makes coordinates where all rows agree contribute bitwise-exact zeros.
-    w_x = p_row + p_col
-    ys = y - y[0]
-    grad_x = lam * (w_x @ ys - w_x.sum(axis=1)[:, None] * ys)
-    w_y = w_x.T
-    xs = x - x[0]
-    grad_y = lam * (w_y @ xs - w_y.sum(axis=1)[:, None] * xs)
-    return grad_x, grad_y
 
 
 def span_gradients(batch: ContrastiveBatch) -> GradientPair:
@@ -169,7 +161,7 @@ def span_gradients(batch: ContrastiveBatch) -> GradientPair:
     small). Equals ``exact_gradients`` only under uniform pair marginals;
     see the module docstring.
     """
-    gx, gy = _span_grad_arrays(batch.pairs.x.values, batch.pairs.y.values, batch.tau)
+    gx, gy, _ = _gradients(batch.pairs.x.values, batch.pairs.y.values, batch.tau, span=True)
     return GradientPair(grad_x=gx, grad_y=gy)
 
 
@@ -218,8 +210,6 @@ class TrainingRecord:
     loss: float
     gap_full: float
     gap_masked: float
-    per_dim_variance_x: np.ndarray
-    per_dim_variance_y: np.ndarray
     masked_grad_max: float
 
 
@@ -264,7 +254,7 @@ def train_contrastive(
     if cfg.renormalize_each_step and not (init.x.unit_norm and init.y.unit_norm):
         raise ValueError("projected descent requires unit-norm initial embeddings")
     mask = None if masked_dims is None else np.asarray(masked_dims, dtype=np.intp)
-    grad_fn = _exact_grad_arrays if cfg.gradient_form == "exact" else _span_grad_arrays
+    span = cfg.gradient_form == "span"
     x = init.x.values.copy()
     y = init.y.values.copy()
 
@@ -273,8 +263,7 @@ def train_contrastive(
             return x, y
         return l2_normalize_rows(x).values, l2_normalize_rows(y).values
 
-    def snapshot(step: int, masked_grad_max: float) -> TrainingRecord:
-        loss = _loss_arrays(x, y, tau)
+    def snapshot(step: int, loss: float, masked_grad_max: float) -> TrainingRecord:
         if not math.isfinite(loss):
             raise FloatingPointError(f"loss diverged at step {step}")
         try:
@@ -286,15 +275,13 @@ def train_contrastive(
             loss=loss,
             gap_full=_mean_gap(xs, ys, None),
             gap_masked=_mean_gap(xs, ys, mask),
-            per_dim_variance_x=xs.var(axis=0),
-            per_dim_variance_y=ys.var(axis=0),
             masked_grad_max=masked_grad_max,
         )
 
     trajectory: list[TrainingRecord] = []
     running_masked_max = 0.0
     for step in range(cfg.steps + 1):
-        grad_x, grad_y = grad_fn(x, y, tau)
+        grad_x, grad_y, loss = _gradients(x, y, tau, span)
         if mask is not None:
             seen = max(
                 float(np.abs(grad_x[:, mask]).max()),
@@ -302,7 +289,7 @@ def train_contrastive(
             )
             running_masked_max = max(running_masked_max, seen)
         if step % cfg.record_every == 0 or step == cfg.steps:
-            trajectory.append(snapshot(step, running_masked_max))
+            trajectory.append(snapshot(step, loss, running_masked_max))
             running_masked_max = 0.0
         if step == cfg.steps:
             break

@@ -78,6 +78,10 @@ class TestConfigTypes:
         ("shift-sweep", {"seeds": 0}),
         ("mlp-collapse", {"seeds": 0}),
         ("c3-bench", {"seeds": -1}),
+        ("stable-region", {"instances": 0}),
+        ("verify-gradients", {"batches": 0}),
+        ("mlp-collapse", {"depth": 0}),
+        ("gap-stats", {"n": 2000, "pairs_per_group": 0}),
     ])
     def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
         exits_2_with_one_line(capsys, tmp_path, command, config)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaplab.contrastive import (
     ContrastiveBatch,
+    _gradients,
     TrainerConfig,
     conditional_probs,
     contrastive_loss,
@@ -425,3 +426,87 @@ class TestStableRegion:
         rep = loss_bound_check(b, 0, delta)
         assert rep.margin >= stable_region_threshold([lo], tau, delta) - 1e-9
         assert rep.loss_i <= delta
+
+
+# The per-helper formulas the one-pass helpers replaced: a separate logits
+# product and separate row and column softmaxes for every quantity.
+_REF_FLOOR = -700.0
+
+
+def _ref_softmax(z, axis):
+    z = np.maximum(z - z.max(axis=axis, keepdims=True), _REF_FLOOR)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _ref_logsumexp(z, axis):
+    m = z.max(axis=axis)
+    return m + np.log(np.exp(np.maximum(z - np.expand_dims(m, axis), _REF_FLOOR)).sum(axis=axis))
+
+
+def ref_loss(x, y, tau):
+    z = x @ y.T / tau
+    return float(-(2.0 * np.diag(z) - _ref_logsumexp(z, 1) - _ref_logsumexp(z, 0)).sum()
+                 / (2.0 * x.shape[0]))
+
+
+def ref_probs(x, y, tau):
+    z = x @ y.T / tau
+    return _ref_softmax(z, 0), _ref_softmax(z, 1).T
+
+
+def ref_exact(x, y, tau):
+    z = x @ y.T / tau
+    p_row, p_col = _ref_softmax(z, 1), _ref_softmax(z, 0)
+    lam = 1.0 / (2.0 * x.shape[0] * tau)
+    return (-lam * (2.0 * y - p_row @ y - p_col @ y),
+            -lam * (2.0 * x - p_row.T @ x - p_col.T @ x))
+
+
+def ref_span(x, y, tau):
+    z = x @ y.T / tau
+    w_x = _ref_softmax(z, 1) + _ref_softmax(z, 0)
+    lam = 1.0 / (2.0 * x.shape[0] * tau)
+    ys, xs = y - y[0], x - x[0]
+    w_y = w_x.T
+    return (lam * (w_x @ ys - w_x.sum(axis=1)[:, None] * ys),
+            lam * (w_y @ xs - w_y.sum(axis=1)[:, None] * xs))
+
+
+class TestOnePassMatchesPerHelperReference:
+    @pytest.mark.parametrize("tau", [0.01, 0.07, 0.5])
+    @pytest.mark.parametrize("seed,n,d", [(0, 2, 3), (1, 17, 9), (2, 64, 48), (3, 200, 32)])
+    def test_helpers_match_reference(self, tau, seed, n, d):
+        batch = unit_batch(np.random.default_rng(seed), n, d, tau)
+        x, y = batch.pairs.x.values, batch.pairs.y.values
+        assert contrastive_loss(batch) == ref_loss(x, y, tau)
+        for got, want in zip(conditional_probs(batch), ref_probs(x, y, tau)):
+            assert np.array_equal(got, want)
+        span = span_gradients(batch)
+        for got, want in zip((span.grad_x, span.grad_y), ref_span(x, y, tau)):
+            assert np.array_equal(got, want)
+        exact = exact_gradients(batch)
+        for got, want in zip((exact.grad_x, exact.grad_y), ref_exact(x, y, tau)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tau", [0.01, 0.07, 0.5])
+    def test_span_form_matches_reference_on_free_rows(self, tau):
+        # pre-normalization rows with shared constant coordinates, as train-sim uses
+        w = make_collapsed_init_world(n=40, d=32, dex=4, dey=12, seed=6)
+        x, y = w.pre_norm_x, w.pre_norm_y
+        gx, gy, loss = _gradients(x, y, tau, span=True)
+        want = ref_span(x, y, tau)
+        assert np.array_equal(gx, want[0]) and np.array_equal(gy, want[1])
+        assert loss == ref_loss(x, y, tau)
+
+    @pytest.mark.parametrize("form,projected", [("exact", True), ("span", False)])
+    def test_last_record_loss_is_loss_of_final_state(self, form, projected):
+        w = make_collapsed_init_world(n=32, d=24, dex=4, dey=10, seed=7)
+        init = w.pairs if projected else PairedEmbeddings(
+            x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
+        cfg = TrainerConfig(learning_rate=0.1, steps=60, record_every=25,
+                            renormalize_each_step=projected, gradient_form=form)
+        res = train_contrastive(init, 0.07, cfg, masked_dims=w.shared_ineffective)
+        assert [r.step for r in res.trajectory] == [0, 25, 50, 60]
+        assert res.trajectory[0].loss == ref_loss(init.x.values, init.y.values, 0.07)
+        assert res.trajectory[-1].loss == ref_loss(res.final.x.values, res.final.y.values, 0.07)
