@@ -15,10 +15,8 @@ from .linalg import (
     PairedEmbeddings,
     SpectralSummary,
     l2_normalize_rows,
-    row_mean,
     covariance,
     spectral_summary,
-    cosine,
     mean_pairwise_cosine,
 )
 from .contrastive import (
@@ -62,7 +60,6 @@ from .c3 import (
     collapse,
     corrupt,
     train_transform,
-    test_transform,
 )
 from .bench import (
     LatentSpec,

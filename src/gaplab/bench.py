@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .c3 import (C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse,
-                 test_transform, train_transform)
-from .linalg import EmbeddingMatrix, PairedEmbeddings, l2_normalize_rows
+from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse, train_transform
+from .linalg import EmbeddingMatrix, PairedEmbeddings, _orthonormal_columns, l2_normalize_rows
 
 __all__ = [
     "LatentSpec",
@@ -105,19 +104,15 @@ class ToyTask:
     codes: np.ndarray | None
     span_basis: np.ndarray
     gap_direction: np.ndarray | None
-    gap_norm: float
-    sigma_align: float
     train_idx: np.ndarray
     test_idx: np.ndarray
-    seed: int
 
 
 def _class_codes(rng: np.random.Generator, n_classes: int) -> np.ndarray:
     n_pairs = (n_classes - 2) // 2
     n_single = n_classes - 1 - 2 * n_pairs
     m = 2 * n_pairs + n_single + 1
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    dirs = (q * np.sign(np.diag(r))).T
+    dirs = _orthonormal_columns(rng, m, m).T
     victims = _VICTIM_NORM * dirs[:n_pairs]
     offs = dirs[n_pairs : 2 * n_pairs]
     singles = _SINGLETON_NORM * dirs[2 * n_pairs : 2 * n_pairs + n_single]
@@ -159,9 +154,7 @@ def make_toy_task(
         raise ValueError("need at least 40 samples for a meaningful split")
 
     rng = np.random.default_rng(seed)
-    want = span_dim + (1 if span_dim < d else 0)
-    q, r = np.linalg.qr(rng.standard_normal((d, want)))
-    q = q * np.sign(np.diag(r))
+    q = _orthonormal_columns(rng, d, span_dim + (1 if span_dim < d else 0))
     basis = q[:, :span_dim]
     gap_dir = q[:, span_dim] if span_dim < d else None
 
@@ -211,11 +204,8 @@ def make_toy_task(
         codes=codes,
         span_basis=basis,
         gap_direction=gap_dir,
-        gap_norm=gap_norm,
-        sigma_align=sigma_align,
         train_idx=order[:half],
         test_idx=order[half:],
-        seed=seed,
     )
 
 
@@ -225,7 +215,6 @@ class RidgeDecoder:
 
     weights: np.ndarray
     bias: np.ndarray
-    lam: float
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         return np.asarray(inputs, dtype=np.float64) @ self.weights + self.bias
@@ -249,7 +238,7 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     t_mean = t.mean(axis=0)
     xc = x - x_mean
     w = np.linalg.solve(xc.T @ xc + lam * np.eye(x.shape[1]), xc.T @ (t - t_mean))
-    return RidgeDecoder(weights=w, bias=t_mean - x_mean @ w, lam=lam)
+    return RidgeDecoder(weights=w, bias=t_mean - x_mean @ w)
 
 
 def _variant_config(variant: str, sigma: float, task: ToyTask, noise_seed: int) -> C3Config:
@@ -319,16 +308,14 @@ def evaluate_crossmodal(
     x_test = task.pairs.x.values[task.test_idx]
 
     train_rows = train_transform(y_train, y_train.mean(axis=0), cfg)
-    test_rows = test_transform(x_test, x_test.mean(axis=0)) if cfg.collapse else x_test
+    test_rows = collapse(x_test, x_test.mean(axis=0)) if cfg.collapse else x_test
     return _score(task, train_rows, _decode_inputs(task, test_rows), lam)
 
 
 def in_modality_metric(task: ToyTask, lam: float = 1e-3) -> float:
     """Train on x-side train rows, test on x-side test rows (no transfer)."""
     x = task.pairs.x.values
-    decoder = train_decoder(_decode_inputs(task, x[task.train_idx]), task.targets[task.train_idx], lam)
-    pred = decoder.predict(_decode_inputs(task, x[task.test_idx]))
-    return _metric(task, pred, task.test_idx)
+    return _score(task, x[task.train_idx], _decode_inputs(task, x[task.test_idx]), lam)
 
 
 @dataclass(frozen=True)
@@ -373,7 +360,7 @@ def run_ablation(
         x_test = task.pairs.x.values[task.test_idx]
         train_base = {False: y_train, True: collapse(y_train, y_train.mean(axis=0))}
         test_inputs = {False: _decode_inputs(task, x_test),
-                       True: _decode_inputs(task, test_transform(x_test, x_test.mean(axis=0)))}
+                       True: _decode_inputs(task, collapse(x_test, x_test.mean(axis=0)))}
         unit = None
         for (variant, grid), per_sigma in zip(plan, vals):
             for sigma, out in zip(grid, per_sigma):

@@ -29,7 +29,6 @@ __all__ = [
     "collapse",
     "corrupt",
     "train_transform",
-    "test_transform",
 ]
 
 MODE_FULL = "full"
@@ -113,8 +112,3 @@ def train_transform(m, mean: np.ndarray, cfg: C3Config) -> np.ndarray:
     if cfg.corrupt:
         a = corrupt(a, cfg)
     return a
-
-
-def test_transform(m, mean: np.ndarray) -> np.ndarray:
-    """Test-side pipeline: subtract the test modality's own mean, never add noise."""
-    return collapse(m, mean)

@@ -1,19 +1,22 @@
 """Command-line experiment runner with deterministic JSON/CSV reports.
 
-Every command is one entry of ``_COMMANDS``: its runner, its defaults and
-the keys whose values must be positive. Parameters resolve from those
-defaults, overridden by an optional JSON config file (unknown keys
-rejected), overridden by the ``--seed`` flag; ``--long-running`` sets
-train-sim's ``long_running`` key. Each value must have its default's type
-(an int default takes only an int, a float default an int or a float, a
-list default a non-empty list of numbers), and a positive key (``tau``,
-every ``taus`` entry, ``seeds`` and the counts ``batches``, ``instances``,
-``depth`` and ``pairs_per_group``) must be > 0, or the command exits with
-status 2. The resolved config is echoed into every report, reports carry
-no timestamps and no NaN or infinity, and float formatting is fixed, so
-rerunning a command with the same config and seed reproduces the report
-files byte for byte. Exit status is 0 exactly when every check the
-command ran passed.
+Every command is one entry of ``_COMMANDS``: its runner, its defaults, the
+keys whose values must be positive and the values each enumerated string
+key may take. Parameters resolve from those defaults, overridden by an
+optional JSON config file (unknown keys rejected), overridden by the
+``--seed`` flag; ``--long-running`` sets train-sim's ``long_running`` key.
+Each value must have its default's type (an int default takes only an int,
+a float default a finite int or float, a list default a non-empty list of
+finite numbers), a positive key (``tau``, ``h``, every ``taus`` entry,
+``seeds``, ``span_dim`` and the counts ``batches``, ``instances``,
+``depth`` and ``pairs_per_group``) must be > 0, and an enumerated string
+key (``init``, ``gradient_form``, ``noise_mode``, ``shift_mode`` and the
+file formats) must name one of its choices, or the command exits with
+status 2 before any work starts. The resolved config is echoed into every
+report, reports carry no timestamps and no NaN or infinity, and float
+formatting is fixed, so rerunning a command with the same config and seed
+reproduces the report files byte for byte. Exit status is 0 exactly when
+every check the command ran passed.
 """
 
 from __future__ import annotations
@@ -202,12 +205,8 @@ def _cmd_train_sim(p):
         p = dict(p, n=1000, steps=200000, renormalize_each_step=True,
                  gradient_form="exact", init="unit")
     w = worlds.make_collapsed_init_world(p["n"], p["d"], p["dex"], p["dey"], p["seed"])
-    if p["init"] == "unit":
-        init = w.pairs
-    elif p["init"] == "prenorm":
-        init = PairedEmbeddings(x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
-    else:
-        raise ValueError(f"unknown init {p['init']!r}")
+    init = w.pairs if p["init"] == "unit" else PairedEmbeddings(
+        x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
     cfg = TrainerConfig(
         learning_rate=p["learning_rate"],
         steps=p["steps"],
@@ -438,7 +437,10 @@ class _Command(NamedTuple):
     run: Callable[[dict], tuple]
     defaults: dict
     positive: tuple = ()  # keys whose value, or every entry of whose list, must be > 0
+    choices: dict = {}  # string keys and the values each may take
 
+
+_FORMATS = ("mmeb", "csv")
 
 _COMMANDS = {
     "simulate-init": _Command(_cmd_simulate_init, {
@@ -447,10 +449,11 @@ _COMMANDS = {
         "n": 256, "d": 512, "dex": 25, "dey": 230, "tau": 0.07, "learning_rate": 0.1,
         "steps": 20000, "record_every": 100, "renormalize_each_step": False,
         "gradient_form": "span", "init": "prenorm", "long_running": False, "seed": 0},
-        positive=("tau",)),
+        positive=("tau",),
+        choices={"gradient_form": ("exact", "span"), "init": ("unit", "prenorm")}),
     "verify-gradients": _Command(_cmd_verify_gradients, {
         "batches": 100, "max_n": 8, "max_d": 16, "taus": [0.01, 0.07, 0.5], "h": 1e-5,
-        "seed": 0}, positive=("batches", "taus")),
+        "seed": 0}, positive=("batches", "taus", "h")),
     "stable-region": _Command(_cmd_stable_region, {
         "n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01, "instances": 1000,
         "seed": 0}, positive=("taus", "instances")),
@@ -461,34 +464,38 @@ _COMMANDS = {
         "n": 10000, "d": 512, "span_dim": 64, "gap_norm": 0.83, "sigma": 0.05,
         "noise_mode": "full", "group_size": 100, "pairs_per_group": 1000,
         "x_file": "", "y_file": "", "file_format": "mmeb", "seed": 0},
-        positive=("pairs_per_group",)),
+        positive=("pairs_per_group",),
+        choices={"noise_mode": ("full", "span"), "file_format": _FORMATS}),
     "c3-bench": _Command(_cmd_c3_bench, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": [0.01, 0.05, 0.1, 0.2],
-        "seed": 0}, positive=("seeds",)),
+        "seed": 0}, positive=("seeds", "span_dim")),
     "shift-sweep": _Command(_cmd_shift_sweep, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.0,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
         "shifts": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
-        "shift_mode": "orthogonal", "seed": 0}, positive=("seeds",)),
+        "shift_mode": "orthogonal", "seed": 0}, positive=("seeds", "span_dim"),
+        choices={"shift_mode": ("orthogonal", "in_span")}),
     "export": _Command(_cmd_export, {
-        "in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv", "seed": 0}),
+        "in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv", "seed": 0},
+        choices={"in_format": _FORMATS, "out_format": _FORMATS}),
 }
 
 
 def _has_type(value, default) -> bool:
-    """Whether a config value may stand where ``default`` does (bools are not ints)."""
+    """Whether a config value may stand where ``default`` does (bools are not ints,
+    and a float is finite)."""
     if isinstance(default, list):
         return isinstance(value, list) and len(value) > 0 and all(_has_type(v, 0.0) for v in value)
     if isinstance(default, float):
-        return type(value) in (int, float)
+        return type(value) in (int, float) and math.isfinite(value)
     return type(value) is type(default)
 
 
 def _check_config(command: str, params: dict) -> None:
     """Raise ValueError unless ``params`` has exactly the command's keys, typed as its
-    defaults, and its positive keys are > 0."""
-    defaults, positive = _COMMANDS[command].defaults, _COMMANDS[command].positive
+    defaults, its positive keys > 0 and its choice keys one of their values."""
+    _, defaults, positive, choices = _COMMANDS[command]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
@@ -496,13 +503,17 @@ def _check_config(command: str, params: dict) -> None:
         if key not in params:
             raise ValueError(f"missing config key for {command}: {key}")
         if not _has_type(params[key], default):
-            kind = "a non-empty list of numbers" if isinstance(default, list) else type(default).__name__
+            kind = {list: "a non-empty list of finite numbers", float: "a finite number"}.get(
+                type(default), type(default).__name__)
             raise ValueError(f"config key {key} for {command} must be {kind}, got {params[key]!r}")
         if key in positive:
             value = params[key]
             if not all(v > 0 for v in (value if isinstance(value, list) else [value])):
                 what = "every entry of" if isinstance(value, list) else "config key"
                 raise ValueError(f"{what} {key} for {command} must be > 0, got {value!r}")
+        if key in choices and params[key] not in choices[key]:
+            raise ValueError(f"config key {key} for {command} must be one of "
+                             f"{', '.join(choices[key])}, got {params[key]!r}")
 
 
 def resolve_config(command: str, config_path: str | None, seed: int | None) -> dict:

@@ -219,13 +219,6 @@ class TrainingResult:
     final: PairedEmbeddings
 
 
-def _mean_gap(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> float:
-    diff = x.mean(axis=0) - y.mean(axis=0)
-    if mask is not None:
-        diff = diff[mask]
-    return float(np.linalg.norm(diff))
-
-
 def train_contrastive(
     init: PairedEmbeddings,
     tau: float = DEFAULT_TAU,
@@ -237,11 +230,10 @@ def train_contrastive(
     Descends ``exact_gradients`` by default (``cfg.gradient_form`` can select
     the span form instead). Each checkpoint records the loss of the current
     state, the distance between modality means over all dimensions and over
-    ``masked_dims``, per-dimension population variances, and the largest
-    absolute raw-gradient entry inside ``masked_dims`` since the previous
-    checkpoint. Geometry metrics are measured on unit-normalized views of
-    the state; the loss is measured on the state itself. The run is
-    deterministic given the inputs and config.
+    ``masked_dims``, and the largest absolute raw-gradient entry inside
+    ``masked_dims`` since the previous checkpoint. Geometry metrics are
+    measured on unit-normalized views of the state; the loss is measured on
+    the state itself. The run is deterministic given the inputs and config.
 
     With ``renormalize_each_step`` the initial embeddings must already be
     unit-norm; without it any finite initialization is accepted.
@@ -270,11 +262,12 @@ def train_contrastive(
             xs, ys = analysis_views()
         except ValueError as exc:  # overflowing or vanishing row norms
             raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
+        diff = xs.mean(axis=0) - ys.mean(axis=0)
         return TrainingRecord(
             step=step,
             loss=loss,
-            gap_full=_mean_gap(xs, ys, None),
-            gap_masked=_mean_gap(xs, ys, mask),
+            gap_full=float(np.linalg.norm(diff)),
+            gap_masked=float(np.linalg.norm(diff if mask is None else diff[mask])),
             masked_grad_max=masked_grad_max,
         )
 
@@ -329,6 +322,12 @@ def margin(batch: ContrastiveBatch, i: int) -> float:
     return float(pos - neg.max())
 
 
+def _crowding(t: np.ndarray, tau: float) -> float:
+    """o'(tau) = 1 + sum_{i != m} exp((t_i - t_m) / tau), m the first argmax of t."""
+    m = int(np.argmax(t))
+    return 1.0 + float(np.exp((np.delete(t, m) - t[m]) / tau).sum())
+
+
 def crowding_factor(similarities, tau: float) -> tuple[float, int]:
     """Crowding of a similarity profile: (o', ceil(o')).
 
@@ -341,11 +340,9 @@ def crowding_factor(similarities, tau: float) -> tuple[float, int]:
         raise ValueError("empty similarity profile")
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    m = int(np.argmax(t))
-    rest = np.delete(t, m)
-    if rest.size and rest.max() == t[m]:
+    if np.count_nonzero(t == t.max()) > 1:
         raise ValueError("similarity profile has a tied maximum")
-    o_prime = 1.0 + float(np.exp((rest - t[m]) / tau).sum())
+    o_prime = _crowding(t, tau)
     return o_prime, int(math.ceil(o_prime))
 
 
@@ -386,11 +383,9 @@ def loss_bound_check(batch: ContrastiveBatch, i: int, delta: float) -> StableReg
         raise ValueError(f"delta must be positive, got {delta}")
     sims = batch.pairs.x.values[i] @ batch.pairs.y.values.T
     r = margin(batch, i)
-    negatives = np.delete(sims, i)
     # Tied negative maxima are fine here: the crowding inequality still
     # holds, only the threshold op insists on a unique argmax.
-    top = negatives.max()
-    o_prime = 1.0 + float(np.exp((np.delete(negatives, np.argmax(negatives)) - top) / batch.tau).sum())
+    o_prime = _crowding(np.delete(sims, i), batch.tau)
     o = int(math.ceil(o_prime))
     # Writing the anchor loss as log1p(o' * e^(-r/tau)) is exact (shift the
     # log-sum-exp at the hardest negative) and shares every factor with the

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PairedEmbeddings, as_array
+from .linalg import PairedEmbeddings, _index_pairs, _pair_cosines, as_array
 
 __all__ = [
     "PairGroups",
@@ -51,7 +51,6 @@ class PairGroups:
     source: PairedEmbeddings
     groups: list
     group_size: int
-    seed: int
     dropped: int
 
     def __post_init__(self):
@@ -77,7 +76,7 @@ def group_pairs(pairs: PairedEmbeddings, group_size: int = 100, seed: int = 0) -
     if len(groups[-1]) < group_size and len(groups[-1]) * 2 <= group_size:
         dropped = len(groups[-1])
         groups = groups[:-1]
-    return PairGroups(source=pairs, groups=groups, group_size=group_size, seed=seed, dropped=dropped)
+    return PairGroups(source=pairs, groups=groups, group_size=group_size, dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -102,26 +101,6 @@ class GapReport:
             ("noise_mean", *self.noise_mean),
             ("noise_direction", *self.noise_direction),
         ]
-
-
-def _sample_index_pairs(rng: np.random.Generator, g: int, wanted: int) -> tuple[np.ndarray, np.ndarray]:
-    total = g * (g - 1) // 2
-    if total <= wanted:
-        iu = np.triu_indices(g, k=1)
-        return iu[0], iu[1]
-    j = rng.integers(0, g, size=wanted)
-    k = rng.integers(0, g - 1, size=wanted)
-    k = np.where(k >= j, k + 1, k)
-    return j, k
-
-
-def _cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Row-wise cosines, dropping pairs with a near-zero vector."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    ok = (na > ZERO_VECTOR_TOL) & (nb > ZERO_VECTOR_TOL)
-    vals = np.einsum("ij,ij->i", a[ok], b[ok]) / (na[ok] * nb[ok])
-    return np.clip(vals, -1.0, 1.0), int((~ok).sum())
 
 
 def _mean_std(v: np.ndarray) -> tuple:
@@ -160,27 +139,29 @@ def group_statistics(
         gx = x[idx]
         diffs = gx - y[idx]
         d_i = diffs.mean(axis=0)
+        length = np.linalg.norm(d_i)
         gap_vectors.append(d_i)
-        gap_lengths.append(np.linalg.norm(d_i))
+        gap_lengths.append(length)
         eps = diffs - d_i
         eps_sum += eps.sum(axis=0)
         eps_count += eps.shape[0]
 
-        g = len(idx)
-        j, k = _sample_index_pairs(rng, g, pairs_per_group)
+        # cos(d_i, r) for every within-group difference r = x_j - x_k
+        j, k = _index_pairs(rng, len(idx), pairs_per_group)
         r = gx[j] - gx[k]
-        vals, miss = _cosines(np.broadcast_to(d_i, r.shape), r)
-        ortho_vals.append(vals)
-        skipped += miss
+        r_norms = np.linalg.norm(r, axis=1)
+        ok = (r_norms > ZERO_VECTOR_TOL) & (length > ZERO_VECTOR_TOL)
+        ortho_vals.append(np.clip((r @ d_i)[ok] / (r_norms[ok] * length), -1.0, 1.0))
+        skipped += int((~ok).sum())
 
-        j, k = _sample_index_pairs(rng, g, pairs_per_group)
-        vals, miss = _cosines(eps[j], eps[k])
+        vals, miss = _pair_cosines(eps, *_index_pairs(rng, len(idx), pairs_per_group),
+                                   ZERO_VECTOR_TOL)
         noise_dir_vals.append(vals)
         skipped += miss
 
     gap_vectors = np.asarray(gap_vectors)
-    iu = np.triu_indices(len(groups.groups), k=1)
-    dir_vals, miss = _cosines(gap_vectors[iu[0]], gap_vectors[iu[1]])
+    dir_vals, miss = _pair_cosines(gap_vectors, *np.triu_indices(len(groups.groups), k=1),
+                                   ZERO_VECTOR_TOL)
     skipped += miss
 
     per_dim_noise_mean = eps_sum / eps_count

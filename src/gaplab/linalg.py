@@ -16,10 +16,8 @@ __all__ = [
     "SpectralSummary",
     "as_array",
     "l2_normalize_rows",
-    "row_mean",
     "covariance",
     "spectral_summary",
-    "cosine",
     "mean_pairwise_cosine",
 ]
 
@@ -114,11 +112,6 @@ def l2_normalize_rows(m) -> EmbeddingMatrix:
     return EmbeddingMatrix(a / norms[:, None], unit_norm=True)
 
 
-def row_mean(m) -> np.ndarray:
-    """Arithmetic mean over rows, one value per dimension."""
-    return as_array(m).mean(axis=0)
-
-
 def covariance(m) -> np.ndarray:
     """Mean-centered population covariance (divides by n, not n - 1).
 
@@ -189,15 +182,31 @@ def spectral_summary(c: np.ndarray, gamma: float = DEFAULT_GAMMA) -> SpectralSum
     return SpectralSummary(singular_values=s, gamma=gamma)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two non-zero vectors, clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine is undefined for a zero vector")
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """A random d x k matrix with orthonormal columns (QR of a Gaussian, signs fixed)."""
+    q, r = np.linalg.qr(rng.standard_normal((d, k)))
+    return q * np.sign(np.diag(r))
+
+
+def _index_pairs(rng: np.random.Generator, n: int, wanted: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (j, k), j != k, of n rows: all j < k when there are at most
+    ``wanted`` of them, else ``wanted`` uniform draws from ``rng``."""
+    if n * (n - 1) // 2 <= wanted:
+        return np.triu_indices(n, k=1)
+    j = rng.integers(0, n, size=wanted)
+    k = rng.integers(0, n - 1, size=wanted)
+    return j, np.where(k >= j, k + 1, k)  # k != j, uniform over the rest
+
+
+def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
+                  tol: float = 0.0) -> tuple[np.ndarray, int]:
+    """Cosines of the row pairs (j, k) clamped to [-1, 1], and the number of
+    pairs skipped because one of their rows has norm <= ``tol``."""
+    norms = np.linalg.norm(rows, axis=1)
+    ok = (norms[j] > tol) & (norms[k] > tol)
+    j, k = j[ok], k[ok]
+    vals = np.einsum("ij,ij->i", rows[j], rows[k]) / (norms[j] * norms[k])
+    return np.clip(vals, -1.0, 1.0), int(ok.size - j.size)
 
 
 def mean_pairwise_cosine(
@@ -213,21 +222,8 @@ def mean_pairwise_cosine(
     n = a.shape[0]
     if n < 2:
         raise ValueError(f"pairwise cosine needs at least 2 rows, got {n}")
-    norms = np.linalg.norm(a, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(np.linalg.norm(a, axis=1) == 0.0)
     if zero.size:
         raise ValueError(f"zero row at index {zero[0]}")
-    unit = a / norms[:, None]
-    total = n * (n - 1) // 2
-    if total <= max_pairs:
-        g = unit @ unit.T
-        iu = np.triu_indices(n, k=1)
-        vals = g[iu]
-    else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=max_pairs)
-        j = rng.integers(0, n - 1, size=max_pairs)
-        j = np.where(j >= i, j + 1, j)  # j != i, uniform over the rest
-        vals = np.einsum("ij,ij->i", unit[i], unit[j])
-    vals = np.clip(vals, -1.0, 1.0)
+    vals, _ = _pair_cosines(a, *_index_pairs(np.random.default_rng(seed), n, max_pairs))
     return float(vals.mean()), float(vals.std())

@@ -25,6 +25,7 @@ from .linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
     SpectralSummary,
+    _orthonormal_columns,
     covariance,
     l2_normalize_rows,
     mean_pairwise_cosine,
@@ -49,22 +50,13 @@ class GapWorld:
 
     ``pairs.y`` rows are unit vectors inside the span of ``span_basis``;
     ``true_gap`` is a constant vector in the orthogonal complement, and the
-    per-pair noise is Gaussian with scale ``true_sigma`` (isotropic over the
-    full space or confined to the span, recorded in ``noise_mode``). The x
-    side is intentionally not re-normalized so the identity stays exact.
+    per-pair noise is Gaussian. The x side is intentionally not
+    re-normalized so the identity stays exact.
     """
 
     pairs: PairedEmbeddings
     true_gap: np.ndarray
-    true_sigma: float
     span_basis: np.ndarray
-    noise_mode: str
-    seed: int
-
-
-def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, k)))
-    return q * np.sign(np.diag(r))
 
 
 def make_gap_world(
@@ -112,14 +104,7 @@ def make_gap_world(
     x = y + gap + eps
 
     pairs = PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y, unit_norm=True))
-    return GapWorld(
-        pairs=pairs,
-        true_gap=gap,
-        true_sigma=sigma,
-        span_basis=basis,
-        noise_mode=noise_mode,
-        seed=seed,
-    )
+    return GapWorld(pairs=pairs, true_gap=gap, span_basis=basis)
 
 
 @dataclass(frozen=True)
@@ -139,9 +124,6 @@ class InitWorld:
     effective_dims_x: np.ndarray
     effective_dims_y: np.ndarray
     shared_ineffective: np.ndarray
-    constants_x: np.ndarray
-    constants_y: np.ndarray
-    seed: int
 
 
 def make_collapsed_init_world(
@@ -185,23 +167,13 @@ def make_collapsed_init_world(
         effective_dims_x=np.arange(0, dex),
         effective_dims_y=np.arange(dex, dex + dey),
         shared_ineffective=np.arange(dex + dey, d),
-        constants_x=const_x,
-        constants_y=const_y,
-        seed=seed,
     )
 
 
-def xavier_uniform(
-    fan_in: int,
-    fan_out: int,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Weight matrix of shape (fan_out, fan_in) from U[-b, b], b = sqrt(6/(fan_in+fan_out))."""
     if fan_in < 1 or fan_out < 1:
         raise ValueError("fans must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
@@ -274,7 +246,7 @@ def mlp_collapse_sim(cfg: MlpSimConfig = MlpSimConfig()) -> list[MlpProbe]:
     h = rng.standard_normal((cfg.n_inputs, cfg.width))
     probes = [_probe(h, 0, cfg.gamma, cfg.seed)]
     for layer in range(1, cfg.depth + 1):
-        w = xavier_uniform(cfg.width, cfg.width, rng=rng)
+        w = xavier_uniform(cfg.width, cfg.width, rng)
         h = np.maximum(h @ w.T, 0.0)
         if layer % cfg.probe_stride == 0:
             probes.append(_probe(h, layer, cfg.gamma, cfg.seed))

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from gaplab.c3 import C3Config, _add_noise, _unit_noise, collapse, corrupt, train_transform
-from gaplab.c3 import test_transform as apply_test_transform
-from gaplab.linalg import row_mean
 from gaplab.worlds import make_gap_world
 
 
@@ -13,14 +11,14 @@ class TestCollapse:
     def test_centers_to_zero(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((50, 8)) + 3.0
-        centered = collapse(m, row_mean(m))
-        assert np.abs(row_mean(centered)).max() < 1e-12
+        centered = collapse(m, m.mean(axis=0))
+        assert np.abs(centered.mean(axis=0)).max() < 1e-12
 
     def test_idempotent_on_centered(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((30, 5))
-        once = collapse(m, row_mean(m))
-        twice = collapse(once, row_mean(once))
+        once = collapse(m, m.mean(axis=0))
+        twice = collapse(once, once.mean(axis=0))
         np.testing.assert_allclose(twice, once, atol=1e-14)
 
     def test_dim_mismatch_rejected(self):
@@ -30,16 +28,16 @@ class TestCollapse:
     def test_variance_untouched(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((60, 7))
-        centered = collapse(m, row_mean(m))
+        centered = collapse(m, m.mean(axis=0))
         np.testing.assert_allclose(m.var(axis=0), centered.var(axis=0), atol=1e-12)
 
     def test_removes_gap_from_paired_means(self):
         w = make_gap_world(n=1000, d=32, span_dim=8, gap_norm=0.83, sigma=0.05, seed=4)
         x = w.pairs.x.values
         y = w.pairs.y.values
-        cx = collapse(x, row_mean(x))
-        cy = collapse(y, row_mean(y))
-        assert np.linalg.norm(row_mean(cx) - row_mean(cy)) < 1e-12
+        cx = collapse(x, x.mean(axis=0))
+        cy = collapse(y, y.mean(axis=0))
+        assert np.linalg.norm(cx.mean(axis=0) - cy.mean(axis=0)) < 1e-12
         resid = cx - cy  # the residual difference is pure alignment noise
         assert np.abs(resid.mean(axis=0)).max() < 4 * 0.05 / np.sqrt(1000)
 
@@ -108,19 +106,19 @@ class TestPipelines:
         rng = np.random.default_rng(8)
         m = rng.standard_normal((15, 5))
         cfg = C3Config(collapse=False, corrupt=False)
-        np.testing.assert_array_equal(train_transform(m, row_mean(m), cfg), m)
+        np.testing.assert_array_equal(train_transform(m, m.mean(axis=0), cfg), m)
 
     def test_collapse_only_equals_collapse(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((15, 5))
-        mean = row_mean(m)
+        mean = m.mean(axis=0)
         cfg = C3Config(collapse=True, corrupt=False)
         np.testing.assert_array_equal(train_transform(m, mean, cfg), collapse(m, mean))
 
     def test_order_collapse_then_corrupt(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((12, 4))
-        mean = row_mean(m)
+        mean = m.mean(axis=0)
         cfg = C3Config(collapse=True, corrupt=True, sigma=0.2, seed=5)
         expected = corrupt(collapse(m, mean), cfg)
         np.testing.assert_array_equal(train_transform(m, mean, cfg), expected)
@@ -128,9 +126,9 @@ class TestPipelines:
     def test_test_transform_never_noisy(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((15, 5))
-        mean = row_mean(m)
-        a = apply_test_transform(m, mean)
-        b = apply_test_transform(m, mean)
+        mean = m.mean(axis=0)
+        a = collapse(m, mean)
+        b = collapse(m, mean)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, m - mean)
 
@@ -138,7 +136,7 @@ class TestPipelines:
         w = make_gap_world(n=2000, d=24, span_dim=6, gap_norm=0.83, sigma=0.05, seed=12)
         x = w.pairs.x.values
         y = w.pairs.y.values
-        train_side = train_transform(y, row_mean(y), C3Config(collapse=True, corrupt=False))
-        test_side = apply_test_transform(x, row_mean(x))
-        dist = np.linalg.norm(row_mean(train_side) - row_mean(test_side))
+        train_side = train_transform(y, y.mean(axis=0), C3Config(collapse=True, corrupt=False))
+        test_side = collapse(x, x.mean(axis=0))
+        dist = np.linalg.norm(train_side.mean(axis=0) - test_side.mean(axis=0))
         assert dist < 1e-12

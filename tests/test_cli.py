@@ -1,10 +1,15 @@
 """CLI plumbing tests: config resolution, reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaplab import cli
 from gaplab.cli import main, resolve_config
@@ -82,6 +87,17 @@ class TestConfigTypes:
         ("verify-gradients", {"batches": 0}),
         ("mlp-collapse", {"depth": 0}),
         ("gap-stats", {"n": 2000, "pairs_per_group": 0}),
+        ("verify-gradients", {"h": 0}),
+        ("verify-gradients", {"h": -1}),
+        ("c3-bench", {"span_dim": -1}),
+        ("shift-sweep", {"span_dim": -1}),
+        ("gap-stats", {"file_format": "bogus"}),
+        ("train-sim", {"init": "bogus"}),
+        ("train-sim", {"gradient_form": "bogus"}),
+        ("gap-stats", {"noise_mode": "bogus"}),
+        ("shift-sweep", {"shift_mode": "bogus"}),
+        ("export", {"in_format": "bogus"}),
+        ("export", {"out_format": "bogus"}),
     ])
     def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
         exits_2_with_one_line(capsys, tmp_path, command, config)
@@ -273,3 +289,60 @@ class TestCommands:
         for path in (tmp_path / "m.mmeb", tmp_path / "rep" / "export.json"):
             assert path.stat().st_mode & 0o777 == 0o644
         assert [p.name for p in (tmp_path / "rep").iterdir()] == ["export.json"]
+
+
+# Small configs on which every command finishes in well under a second.
+SMALL = {
+    "simulate-init": {"n": 60, "d": 32, "dex": 4, "dey": 8},
+    "train-sim": {"n": 16, "d": 32, "dex": 4, "dey": 8, "steps": 20, "record_every": 10},
+    "verify-gradients": {"batches": 2, "max_n": 4, "max_d": 4},
+    "stable-region": {"n": 4, "d": 8, "instances": 4},
+    "mlp-collapse": {"depth": 5, "width": 16, "n_inputs": 20, "seeds": 1},
+    "gap-stats": {"n": 200, "d": 16, "span_dim": 4, "group_size": 50, "pairs_per_group": 50},
+    "c3-bench": {"n": 200, "d": 32, "seeds": 1},
+    "shift-sweep": {"n": 200, "d": 32, "seeds": 1, "shifts": [0.0, 1.0]},
+    "export": {"in_file": "in.mmeb", "out_file": "out.csv"},
+}
+HOSTILE = ("zero", "minus_one", "wrong_type", "empty_list", "bad_string", "nan")
+
+
+def hostile_value(kind, default):
+    return {"zero": 0, "minus_one": -1, "wrong_type": WRONG_TYPE[type(default)],
+            "empty_list": [], "bad_string": "bogus", "nan": math.nan}[kind]
+
+
+def run_hostile(command, key, kind):
+    """Run ``command`` on its small config with one key set to a hostile value,
+    in a fresh working directory; return (exit status, stderr, report written)."""
+    config = dict(SMALL[command])
+    config[key] = hostile_value(kind, resolve_config(command, None, None)[key])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            write_mmeb(np.arange(12.0).reshape(4, 3), "in.mmeb")
+            with open("c.json", "w", encoding="utf-8") as fh:
+                json.dump(config, fh)  # math.nan is written as the JSON extension NaN
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--config", "c.json", "--out", "out"])
+            return rc, err.getvalue(), os.path.exists("out")
+        finally:
+            os.chdir(cwd)
+
+
+class TestHostileConfigValues:
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_small_configs_run(self, command):
+        rc, err, wrote = run_hostile(command, "seed", "zero")
+        assert rc in (0, 1), err
+        assert wrote
+
+    @given(case=st.sampled_from(TABLE_KEYS), kind=st.sampled_from(HOSTILE))
+    @settings(max_examples=400, deadline=None)
+    def test_one_hostile_value_never_raises(self, case, kind):
+        rc, err, wrote = run_hostile(*case, kind)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.count("\n") == 1 and err.startswith(f"gaplab {case[0]}: error: "), err
+            assert not wrote

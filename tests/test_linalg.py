@@ -8,11 +8,9 @@ from gaplab.linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
     SpectralSummary,
-    cosine,
     covariance,
     l2_normalize_rows,
     mean_pairwise_cosine,
-    row_mean,
     spectral_summary,
 )
 
@@ -75,23 +73,6 @@ class TestNormalize:
         m = rng.standard_normal((8, 6)) * rng.uniform(0.1, 100)
         norms = np.linalg.norm(l2_normalize_rows(m).values, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
-
-
-class TestRowMean:
-    def test_two_rows(self):
-        np.testing.assert_array_equal(row_mean([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
-
-    def test_single_row(self):
-        np.testing.assert_array_equal(row_mean([[2.5, -1.0, 3.0]]), [2.5, -1.0, 3.0])
-
-    def test_large_sample_near_zero(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((1000, 6))
-        mean = row_mean(m)
-        # oracle: plain accumulation, one dimension at a time
-        direct = np.array([sum(m[i, j] for i in range(1000)) / 1000 for j in range(6)])
-        np.testing.assert_allclose(mean, direct, rtol=0, atol=1e-12)
-        assert np.abs(mean).max() < 0.15
 
 
 class TestCovariance:
@@ -185,30 +166,6 @@ class TestSpectralSummary:
         s_lo = spectral_summary(c, lo)
         s_hi = spectral_summary(c, hi)
         assert 1 <= s_lo.effective_dim <= s_hi.effective_dim <= 6
-
-
-class TestCosine:
-    def test_self_is_one(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-15)
-
-    def test_orthogonal_axes(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_forty_five_degrees(self):
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine([0.0, 0.0], [1.0, 0.0])
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_clamped_to_unit_interval(self, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(4) * rng.uniform(1e-6, 1e6)
-        v = rng.standard_normal(4) * rng.uniform(1e-6, 1e6)
-        assert -1.0 <= cosine(u, v) <= 1.0
 
 
 class TestMeanPairwiseCosine:

@@ -1,0 +1,223 @@
+"""The shared pair sampler, pair cosines and crowding sum reproduce the
+per-module implementations they replaced.
+
+The references below are those implementations, copied verbatim: the
+within-group pair sampler and row-wise cosines of ``geometry``, the
+normalize-then-dot ``mean_pairwise_cosine`` of ``linalg``, the grouped
+statistics loop built on them, and the inline crowding sum of
+``loss_bound_check``. Everything that does not take a cosine of a gap
+vector or a normalized row matches bit for bit; gap orthogonality (a
+mat-vec now) and the pairwise cosines (row norms divided out after the dot
+product now) may move by rounding, at most 1e-15.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gaplab.contrastive import ContrastiveBatch, crowding_factor, loss_bound_check, margin
+from gaplab.geometry import GapReport, PairGroups, group_pairs, group_statistics
+from gaplab.linalg import (EmbeddingMatrix, PairedEmbeddings, _index_pairs, l2_normalize_rows,
+                           mean_pairwise_cosine)
+from gaplab.worlds import make_gap_world
+
+ZERO_VECTOR_TOL = 1e-12
+
+
+def ref_sample_index_pairs(rng, g, wanted):
+    total = g * (g - 1) // 2
+    if total <= wanted:
+        iu = np.triu_indices(g, k=1)
+        return iu[0], iu[1]
+    j = rng.integers(0, g, size=wanted)
+    k = rng.integers(0, g - 1, size=wanted)
+    k = np.where(k >= j, k + 1, k)
+    return j, k
+
+
+def ref_cosines(a, b):
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    ok = (na > ZERO_VECTOR_TOL) & (nb > ZERO_VECTOR_TOL)
+    vals = np.einsum("ij,ij->i", a[ok], b[ok]) / (na[ok] * nb[ok])
+    return np.clip(vals, -1.0, 1.0), int((~ok).sum())
+
+
+def ref_mean_std(v):
+    if v.size == 0:
+        return (0.0, 0.0)
+    return (float(np.mean(v)), float(np.std(v)))
+
+
+def ref_group_statistics(groups, pairs_per_group=1000, seed=0):
+    x = groups.source.x.values
+    y = groups.source.y.values
+    rng = np.random.default_rng(seed)
+    gap_vectors, gap_lengths, ortho_vals, noise_dir_vals = [], [], [], []
+    eps_sum = np.zeros(x.shape[1])
+    eps_count = 0
+    skipped = 0
+    for idx in groups.groups:
+        gx = x[idx]
+        diffs = gx - y[idx]
+        d_i = diffs.mean(axis=0)
+        gap_vectors.append(d_i)
+        gap_lengths.append(np.linalg.norm(d_i))
+        eps = diffs - d_i
+        eps_sum += eps.sum(axis=0)
+        eps_count += eps.shape[0]
+        g = len(idx)
+        j, k = ref_sample_index_pairs(rng, g, pairs_per_group)
+        r = gx[j] - gx[k]
+        vals, miss = ref_cosines(np.broadcast_to(d_i, r.shape), r)
+        ortho_vals.append(vals)
+        skipped += miss
+        j, k = ref_sample_index_pairs(rng, g, pairs_per_group)
+        vals, miss = ref_cosines(eps[j], eps[k])
+        noise_dir_vals.append(vals)
+        skipped += miss
+    gap_vectors = np.asarray(gap_vectors)
+    iu = np.triu_indices(len(groups.groups), k=1)
+    dir_vals, miss = ref_cosines(gap_vectors[iu[0]], gap_vectors[iu[1]])
+    skipped += miss
+    return GapReport(
+        gap_length=ref_mean_std(np.asarray(gap_lengths)),
+        gap_direction=ref_mean_std(dir_vals),
+        gap_orthogonality=ref_mean_std(np.concatenate(ortho_vals)),
+        noise_mean=ref_mean_std(eps_sum / eps_count),
+        noise_direction=ref_mean_std(np.concatenate(noise_dir_vals)),
+        n_groups=len(groups.groups),
+        group_size=groups.group_size,
+        skipped_zero_pairs=skipped,
+    )
+
+
+def ref_mean_pairwise_cosine(m, max_pairs=10_000, seed=0):
+    a = np.asarray(m, dtype=np.float64)
+    n = a.shape[0]
+    norms = np.linalg.norm(a, axis=1)
+    unit = a / norms[:, None]
+    total = n * (n - 1) // 2
+    if total <= max_pairs:
+        g = unit @ unit.T
+        iu = np.triu_indices(n, k=1)
+        vals = g[iu]
+    else:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=max_pairs)
+        j = rng.integers(0, n - 1, size=max_pairs)
+        j = np.where(j >= i, j + 1, j)
+        vals = np.einsum("ij,ij->i", unit[i], unit[j])
+    vals = np.clip(vals, -1.0, 1.0)
+    return float(vals.mean()), float(vals.std())
+
+
+def ref_loss_bound_check(batch, i, delta):
+    sims = batch.pairs.x.values[i] @ batch.pairs.y.values.T
+    r = margin(batch, i)
+    negatives = np.delete(sims, i)
+    top = negatives.max()
+    o_prime = 1.0 + float(np.exp((np.delete(negatives, np.argmax(negatives)) - top) / batch.tau).sum())
+    o = int(math.ceil(o_prime))
+    decay = np.exp(-r / batch.tau)
+    loss_i = float(np.log1p(o_prime * decay))
+    bound = float(np.log1p(o * decay))
+    return loss_i, bound, r, o, bool(loss_i <= delta)
+
+
+def degenerate_groups():
+    """Explicit groups on which every kind of cosine meets zero-norm vectors.
+
+    Rows 0-99 carry noise, so their groups are ordinary. Rows 100-199 have
+    x - y equal to one constant gap, so their residuals are rounding-sized
+    (below 1e-12) and every noise-direction pair there is skipped. Rows
+    200-249 have x == y: a zero gap vector, whose orthogonality pairs and
+    gap-direction pairs are all skipped. Rows 0-24 repeat as rows 25-49 on
+    the x side, so some within-group differences x_j - x_k are zero too.
+    """
+    rng = np.random.default_rng(3)
+    n, d = 250, 12
+    y = l2_normalize_rows(rng.standard_normal((n, d))).values
+    gap = np.zeros(d)
+    gap[-1] = 0.4
+    x = y + gap
+    x[:100] += 0.05 * rng.standard_normal((100, d))
+    x[25:50] = x[:25]
+    x[200:] = y[200:]
+    pairs = PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y))
+    groups = [np.arange(s, s + 50) for s in range(0, n, 50)]
+    return PairGroups(source=pairs, groups=groups, group_size=50, dropped=0)
+
+
+class TestSharedPrimitivesMatchReference:
+    @pytest.mark.parametrize("n,wanted", [(2, 1), (10, 45), (10, 44), (100, 1000), (1000, 10_000)])
+    def test_index_pairs(self, n, wanted):
+        rng_new, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        got, want = _index_pairs(rng_new, n, wanted), ref_sample_index_pairs(rng_ref, n, wanted)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)  # same draws consumed
+
+    @pytest.mark.parametrize("source,group_size,pairs_per_group", [
+        ("world", 100, 1000),   # sampled within-group pairs
+        ("world", 100, 5000),   # every within-group pair
+        ("world", 37, 200),
+        ("degenerate", 50, 1000),
+        ("degenerate", 50, 300),
+    ])
+    def test_group_statistics(self, source, group_size, pairs_per_group):
+        if source == "world":
+            w = make_gap_world(n=2000, d=32, span_dim=8, gap_norm=0.83, sigma=0.05, seed=5)
+            groups = group_pairs(w.pairs, group_size=group_size, seed=2)
+        else:
+            groups = degenerate_groups()
+        got = group_statistics(groups, pairs_per_group, seed=7)
+        want = ref_group_statistics(groups, pairs_per_group, seed=7)
+        for field in ("gap_length", "gap_direction", "noise_mean", "noise_direction",
+                      "n_groups", "group_size", "skipped_zero_pairs"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert np.abs(np.subtract(got.gap_orthogonality, want.gap_orthogonality)).max() <= 1e-15
+        if source == "degenerate":
+            assert got.skipped_zero_pairs > 0
+
+    def test_degenerate_groups_skip_every_kind_of_pair(self):
+        groups = degenerate_groups()
+        full = group_statistics(groups, 5000, seed=0).skipped_zero_pairs
+        within = 50 * 49 // 2
+        # two rounding-residual groups (noise direction), the x == y group
+        # (orthogonality and noise direction), its 4 gap-direction pairs and
+        # the 25 repeated x rows of group 0 (orthogonality)
+        assert full == 2 * within + 2 * within + 4 + 25
+
+    @pytest.mark.parametrize("n,d,offset,max_pairs", [
+        (40, 16, 0.0, 10_000),    # every pair
+        (40, 16, 3.0, 10_000),
+        (1000, 64, 0.0, 10_000),  # sampled pairs
+        (1000, 64, 3.0, 10_000),
+        (300, 8, 1.0, 500),
+    ])
+    def test_mean_pairwise_cosine(self, n, d, offset, max_pairs):
+        m = np.random.default_rng(n + d).standard_normal((n, d)) + offset
+        got = mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4)
+        want = ref_mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
+    @pytest.mark.parametrize("tau", [0.01, 0.07, 0.5])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_loss_bound_check(self, tau, tied):
+        rng = np.random.default_rng(11)
+        x = l2_normalize_rows(rng.standard_normal((9, 6)))
+        y = rng.standard_normal((9, 6))
+        if tied:
+            y[5] = y[7] = x.values[0]  # anchor 0's two hardest negatives tie
+        batch = ContrastiveBatch(PairedEmbeddings(x=x, y=l2_normalize_rows(y)), tau=tau)
+        for i in range(batch.n):
+            rep = loss_bound_check(batch, i, 0.01)
+            got = (rep.loss_i, rep.bound, rep.margin, rep.crowding, rep.in_stable_region)
+            assert got == ref_loss_bound_check(batch, i, 0.01)
+            if not tied:
+                negatives = np.delete(x.values[i] @ batch.pairs.y.values.T, i)
+                o_prime, o = crowding_factor(negatives, tau)
+                assert o_prime == 1.0 + float(np.exp((np.delete(negatives, np.argmax(negatives))
+                                                      - negatives.max()) / tau).sum())
+                assert o == rep.crowding
