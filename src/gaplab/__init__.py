@@ -59,7 +59,6 @@ from .c3 import (
     C3Config,
     collapse,
     corrupt,
-    train_transform,
 )
 from .bench import (
     LatentSpec,

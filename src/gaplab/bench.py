@@ -2,14 +2,16 @@
 
 A decoder is trained on modality-y embeddings and evaluated on modality-x
 embeddings, with the modality gap and alignment noise injected by
-construction. The mean-collapse and noise-corruption stages can be toggled
-independently, giving the variant family
+construction. The variant table ``_VARIANTS`` combines the mean-collapse
+and noise-corruption stages of ``c3`` into the variant family
 
     c1        raw train, raw test
     c21       collapse at train and test
     c22       corrupt at train, raw test
     c22_span  corrupt with the gap component removed from the noise
     c3        collapse at both plus corrupt at train
+
+and ``_seed_scores`` is the one path every transfer metric goes through.
 
 The decoder itself is a closed-form ridge map; its first stage unit-
 normalizes the incoming embedding, which is what real consumers of
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse, train_transform
+from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse
 from .linalg import EmbeddingMatrix, PairedEmbeddings, _orthonormal_columns, l2_normalize_rows
 
 __all__ = [
@@ -50,8 +52,15 @@ __all__ = [
     "gap_shift_sweep",
 ]
 
-VARIANTS = ("c1", "c21", "c22", "c22_span", "c3")
-_CORRUPTING = ("c22", "c22_span", "c3")
+# variant -> (collapse both sides, corruption mode of the train side or None)
+_VARIANTS = {
+    "c1": (False, None),
+    "c21": (True, None),
+    "c22": (False, MODE_FULL),
+    "c22_span": (False, MODE_SPAN_ONLY),
+    "c3": (True, MODE_FULL),
+}
+VARIANTS = tuple(_VARIANTS)
 SIGMA_GRID = (0.01, 0.05, 0.1, 0.2)
 
 # Class-code layout (classification tasks). Victim codes sit far from the
@@ -241,25 +250,10 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     return RidgeDecoder(weights=w, bias=t_mean - x_mean @ w)
 
 
-def _variant_config(variant: str, sigma: float, task: ToyTask, noise_seed: int) -> C3Config:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    collapsing = variant in ("c21", "c3")
-    corrupt = variant in _CORRUPTING
-    mode = MODE_SPAN_ONLY if variant == "c22_span" else MODE_FULL
-    gap_dir = None
-    if mode == MODE_SPAN_ONLY:
-        if task.gap_direction is None:
-            raise ValueError("span-only corruption needs a gap direction")
-        gap_dir = task.gap_direction
-    return C3Config(
-        collapse=collapsing,
-        corrupt=corrupt,
-        sigma=sigma if corrupt else 0.0,
-        mode=mode,
-        gap_direction=gap_dir,
-        seed=noise_seed,
-    )
+def _variant(name: str) -> tuple[bool, str | None]:
+    if name not in _VARIANTS:
+        raise ValueError(f"unknown variant {name!r}")
+    return _VARIANTS[name]
 
 
 def _decode_inputs(task: ToyTask, rows: np.ndarray) -> np.ndarray:
@@ -289,6 +283,37 @@ def _score(task: ToyTask, train_rows: np.ndarray, test_inputs: np.ndarray, lam: 
     return _metric(task, decoder.predict(test_inputs), task.test_idx)
 
 
+def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[float]:
+    """Metric of each (variant, train sigma) cell on one task.
+
+    Collapse means follow the uni-modal recipe: the train side uses the mean
+    of its own training y rows, the test side the mean of its own test x
+    rows. The raw or collapsed train rows and decoded test inputs each cell
+    needs are prepared once, and the keyed unit noise of the train rows is
+    drawn once, at the first corrupting cell with a nonzero sigma; every
+    corrupting cell rescales that one draw.
+    """
+    sides = {_variant(v)[0] for v, _ in cells}
+    y_train = task.pairs.y.values[task.train_idx]
+    x_test = task.pairs.x.values[task.test_idx]
+    train_base = {c: collapse(y_train, y_train.mean(axis=0)) if c else y_train for c in sides}
+    test_inputs = {c: _decode_inputs(task, collapse(x_test, x_test.mean(axis=0)) if c else x_test)
+                   for c in sides}
+    unit = None
+    scores = []
+    for variant, sigma in cells:
+        collapsed, mode = _VARIANTS[variant]
+        train_rows = train_base[collapsed]
+        if mode is not None:
+            cfg = C3Config(sigma=sigma, mode=mode, gap_direction=task.gap_direction, seed=noise_seed)
+            if sigma != 0.0:
+                if unit is None:
+                    unit = _unit_noise(noise_seed, *y_train.shape)
+                train_rows = _add_noise(train_rows, unit, cfg)
+        scores.append(_score(task, train_rows, test_inputs[collapsed], lam))
+    return scores
+
+
 def evaluate_crossmodal(
     task: ToyTask,
     variant: str = "c3",
@@ -298,18 +323,9 @@ def evaluate_crossmodal(
 ) -> float:
     """Train on transformed y rows, evaluate on x rows through the variant's
     test transform. Returns accuracy (classification) or MSE (regression).
-
-    Collapse means follow the uni-modal recipe: the train side uses the mean
-    of its own training y rows, the test side the mean of its own test x
-    rows.
+    Variants without a corruption stage ignore ``train_sigma``.
     """
-    cfg = _variant_config(variant, train_sigma, task, noise_seed)
-    y_train = task.pairs.y.values[task.train_idx]
-    x_test = task.pairs.x.values[task.test_idx]
-
-    train_rows = train_transform(y_train, y_train.mean(axis=0), cfg)
-    test_rows = collapse(x_test, x_test.mean(axis=0)) if cfg.collapse else x_test
-    return _score(task, train_rows, _decode_inputs(task, test_rows), lam)
+    return _seed_scores(task, [(variant, train_sigma)], lam, noise_seed)[0]
 
 
 def in_modality_metric(task: ToyTask, lam: float = 1e-3) -> float:
@@ -342,42 +358,29 @@ def run_ablation(
     the grid entry with the best seed-mean metric is reported (highest
     accuracy; lowest MSE for regression tasks).
 
-    Seeds form the outer loop, so one task is alive at a time. Per seed the
-    raw and collapsed rows are prepared once and the keyed unit noise of
-    the train rows is drawn once; every corrupting variant and sigma
-    rescales that one draw. Each metric equals what ``evaluate_crossmodal``
-    returns for the same variant, sigma and noise seed ``1000 + seed``.
+    Seeds form the outer loop, so one task is alive at a time, and each
+    seed's cells are scored by one ``_seed_scores`` call with noise seed
+    ``1000 + seed``, the path ``evaluate_crossmodal`` takes for one cell.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
+    if len(sigma_grid) < 1:
+        raise ValueError("need at least one sigma in the grid")
+    plan = [(v, sigma_grid if _variant(v)[1] is not None else (0.0,)) for v in variants]
+    cells = [(v, sigma) for v, grid in plan for sigma in grid]
     task_kwargs = dict(task_kwargs or {})
-    plan = [(v, sigma_grid if v in _CORRUPTING else (0.0,)) for v in variants]
-    vals = [[[] for _ in grid] for _, grid in plan]  # [variant][sigma] -> metric per seed
-
+    per_seed = []
     for s in seeds:
         task = make_toy_task(seed=s, **task_kwargs)
-        y_train = task.pairs.y.values[task.train_idx]
-        x_test = task.pairs.x.values[task.test_idx]
-        train_base = {False: y_train, True: collapse(y_train, y_train.mean(axis=0))}
-        test_inputs = {False: _decode_inputs(task, x_test),
-                       True: _decode_inputs(task, collapse(x_test, x_test.mean(axis=0)))}
-        unit = None
-        for (variant, grid), per_sigma in zip(plan, vals):
-            for sigma, out in zip(grid, per_sigma):
-                cfg = _variant_config(variant, sigma, task, noise_seed=1000 + s)
-                train_rows = train_base[cfg.collapse]
-                if cfg.corrupt and cfg.sigma != 0.0:
-                    if unit is None:
-                        unit = _unit_noise(cfg.seed, *y_train.shape)
-                    train_rows = _add_noise(train_rows, unit, cfg)
-                out.append(_score(task, train_rows, test_inputs[cfg.collapse], lam))
+        per_seed.append(_seed_scores(task, cells, lam, 1000 + s))
 
     higher_better = task.latent_spec.kind == "classification"
+    columns = iter(zip(*per_seed))  # per cell, its metric at every seed
     rows = []
-    for (variant, grid), per_sigma in zip(plan, vals):
+    for variant, grid in plan:
         best = None
-        for sigma, out in zip(grid, per_sigma):
-            seed_vals = np.array(out)
+        for sigma in grid:
+            seed_vals = np.array(next(columns))
             mean = float(seed_vals.mean())
             better = best is None or (mean > best[1] if higher_better else mean < best[1])
             if better:

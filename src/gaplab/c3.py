@@ -1,10 +1,10 @@
 """Embedding transforms for cross-modal training on uni-modal data.
 
-Training-side rows are collapsed (their own modality mean subtracted) and
-corrupted (Gaussian noise added); test-side rows from the other modality
-are only collapsed with that modality's own mean. Corruption noise can be
-isotropic or have its component along a given gap direction projected out
-("span only" mode).
+Two stages: ``collapse`` subtracts a modality mean from every row, and
+``corrupt`` adds Gaussian noise that is isotropic or has its component
+along a given gap direction projected out ("span only" mode). Which
+stages a transfer variant applies, and to which side, is set by the
+variant table in ``bench``.
 
 Noise is drawn from a per-row stream keyed by (seed, row index), so the
 noise a row receives does not depend on how many rows are transformed
@@ -28,7 +28,6 @@ __all__ = [
     "C3Config",
     "collapse",
     "corrupt",
-    "train_transform",
 ]
 
 MODE_FULL = "full"
@@ -37,10 +36,8 @@ MODE_SPAN_ONLY = "span_only"
 
 @dataclass(frozen=True)
 class C3Config:
-    """Which stages to apply and how to draw the corruption noise."""
+    """How to draw the corruption noise."""
 
-    collapse: bool = True
-    corrupt: bool = True
     sigma: float = 0.05
     mode: str = MODE_FULL
     gap_direction: np.ndarray | None = None
@@ -103,12 +100,3 @@ def corrupt(m, cfg: C3Config) -> np.ndarray:
         return a.copy()
     return _add_noise(a, _unit_noise(cfg.seed, *a.shape), cfg)
 
-
-def train_transform(m, mean: np.ndarray, cfg: C3Config) -> np.ndarray:
-    """Training-side pipeline: collapse (if enabled) then corrupt (if enabled)."""
-    a = as_array(m)
-    if cfg.collapse:
-        a = collapse(a, mean)
-    if cfg.corrupt:
-        a = corrupt(a, cfg)
-    return a

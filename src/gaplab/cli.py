@@ -34,8 +34,9 @@ from . import bench, embio, worlds
 from .contrastive import (
     ContrastiveBatch,
     TrainerConfig,
+    _anchor_split,
+    _bound_report,
     exact_gradients,
-    loss_bound_check,
     stable_region_threshold,
     train_contrastive,
 )
@@ -276,21 +277,15 @@ def _cmd_stable_region(p):
     mono_failures = 0
     done = 0
     while done < p["instances"]:
-        batch_by_tau = {}
-        seed_x = rng.standard_normal((p["n"], p["d"]))
-        seed_y = rng.standard_normal((p["n"], p["d"]))
-        x = l2_normalize_rows(seed_x)
-        y = l2_normalize_rows(seed_y)
-        for tau in taus:
-            batch_by_tau[tau] = ContrastiveBatch(PairedEmbeddings(x=x, y=y), tau=tau)
+        x = l2_normalize_rows(rng.standard_normal((p["n"], p["d"]))).values
+        y = l2_normalize_rows(rng.standard_normal((p["n"], p["d"]))).values
         for i in range(p["n"]):
             if done >= p["instances"]:
                 break
-            sims = x.values[i] @ y.values.T
-            negatives = np.delete(sims, i)
+            pos, negatives = _anchor_split(x, y, i)
             thresholds = []
             for tau in taus:
-                rep = loss_bound_check(batch_by_tau[tau], i, delta)
+                rep = _bound_report(pos, negatives, tau, delta)
                 thr = stable_region_threshold(negatives, tau, delta)
                 thresholds.append(thr)
                 if rep.loss_i > rep.bound:

@@ -309,17 +309,21 @@ def train_contrastive(
     return TrainingResult(trajectory=trajectory, final=final)
 
 
-def margin(batch: ContrastiveBatch, i: int) -> float:
-    """Similarity margin of anchor x_i: matched pair minus hardest negative."""
-    n = batch.n
+def _anchor_split(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    """Anchor x_i's matched similarity and its n - 1 negative similarities."""
+    n = x.shape[0]
     if n < 2:
-        raise ValueError("margin needs at least one negative (n >= 2)")
+        raise ValueError("an anchor needs at least one negative (n >= 2)")
     if not (0 <= i < n):
         raise IndexError(f"row {i} out of range for n={n}")
-    sims = batch.pairs.x.values[i] @ batch.pairs.y.values.T
-    pos = sims[i]
-    neg = np.delete(sims, i)
-    return float(pos - neg.max())
+    sims = x[i] @ y.T
+    return sims[i], np.delete(sims, i)
+
+
+def margin(batch: ContrastiveBatch, i: int) -> float:
+    """Similarity margin of anchor x_i: matched pair minus hardest negative."""
+    pos, negatives = _anchor_split(batch.pairs.x.values, batch.pairs.y.values, i)
+    return float(pos - negatives.max())
 
 
 def _crowding(t: np.ndarray, tau: float) -> float:
@@ -376,21 +380,23 @@ def loss_bound_check(batch: ContrastiveBatch, i: int, delta: float) -> StableReg
     below log(1 + o(tau) * exp(-r / tau)), where o is the crowding factor
     of the anchor's negative similarities and r its margin.
     """
-    n = batch.n
-    if n < 2:
-        raise ValueError("bound check needs at least one negative (n >= 2)")
+    pos, negatives = _anchor_split(batch.pairs.x.values, batch.pairs.y.values, i)
+    return _bound_report(pos, negatives, batch.tau, delta)
+
+
+def _bound_report(pos: float, negatives: np.ndarray, tau: float, delta: float) -> StableRegionReport:
+    """``loss_bound_check`` for an anchor given its matched and negative similarities."""
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    sims = batch.pairs.x.values[i] @ batch.pairs.y.values.T
-    r = margin(batch, i)
+    r = float(pos - negatives.max())
     # Tied negative maxima are fine here: the crowding inequality still
     # holds, only the threshold op insists on a unique argmax.
-    o_prime = _crowding(np.delete(sims, i), batch.tau)
+    o_prime = _crowding(negatives, tau)
     o = int(math.ceil(o_prime))
     # Writing the anchor loss as log1p(o' * e^(-r/tau)) is exact (shift the
     # log-sum-exp at the hardest negative) and shares every factor with the
     # bound, so the bound can never be undercut by rounding alone.
-    decay = np.exp(-r / batch.tau)
+    decay = np.exp(-r / tau)
     loss_i = float(np.log1p(o_prime * decay))
     bound = float(np.log1p(o * decay))
     return StableRegionReport(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaplab import c3
+from gaplab import bench, c3
 from gaplab.bench import (
     VARIANTS,
     AblationRow,
@@ -15,10 +15,42 @@ from gaplab.bench import (
     run_ablation,
     train_decoder,
 )
+from gaplab.c3 import C3Config, collapse, corrupt
+from gaplab.linalg import l2_normalize_rows
 
 STANDARD = dict(n=5000, d=64, gap_norm=0.83, sigma_align=0.05, span_dim=16)
 REGRESSION = dict(n=1000, d=32, gap_norm=0.3, sigma_align=0.05, span_dim=16,
                   latent=LatentSpec("regression", 4))
+
+
+def ref_evaluate(task, variant, sigma, lam, noise_seed):
+    """The per-cell transfer pipeline the shared scorer replaced, as a reference.
+
+    Each cell resolves its own stages and draws fresh noise through
+    ``corrupt``: collapse (c21, c3) then corrupt (c22, c22_span, c3) the
+    train rows, collapse the test rows with their own mean when the train
+    side is collapsed, unit-normalize both for classification, fit the
+    ridge decoder and score by nearest code or MSE.
+    """
+    collapsing = variant in ("c21", "c3")
+    span = variant == "c22_span"
+    y_train = task.pairs.y.values[task.train_idx]
+    x_test = task.pairs.x.values[task.test_idx]
+    train_rows = collapse(y_train, y_train.mean(axis=0)) if collapsing else y_train
+    if variant in ("c22", "c22_span", "c3"):
+        cfg = C3Config(sigma=sigma, mode="span_only" if span else "full",
+                       gap_direction=task.gap_direction if span else None, seed=noise_seed)
+        train_rows = corrupt(train_rows, cfg)
+    test_rows = collapse(x_test, x_test.mean(axis=0)) if collapsing else x_test
+    classify = task.latent_spec.kind == "classification"
+    if classify:
+        train_rows = l2_normalize_rows(train_rows).values
+        test_rows = l2_normalize_rows(test_rows).values
+    pred = train_decoder(train_rows, task.targets[task.train_idx], lam).predict(test_rows)
+    if classify:
+        guess = ((pred[:, None, :] - task.codes[None, :, :]) ** 2).sum(axis=-1).argmin(axis=1)
+        return float((guess == task.labels[task.test_idx]).mean())
+    return float(((pred - task.targets[task.test_idx]) ** 2).mean())
 
 
 def gradient_descent_ridge(x, t, lam, steps=60_000, lr=None):
@@ -123,6 +155,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="variant"):
             evaluate_crossmodal(t, "c4")
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_span_only_needs_a_gap_direction(self, sigma):
+        t = make_toy_task(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0, seed=0)
+        assert t.gap_direction is None
+        with pytest.raises(ValueError, match="gap_direction"):
+            evaluate_crossmodal(t, "c22_span", sigma)
+
     def test_deterministic(self):
         t = make_toy_task(seed=5, **STANDARD)
         a = evaluate_crossmodal(t, "c3", 0.05, noise_seed=11)
@@ -173,22 +212,40 @@ class TestAblation:
          (0.01, 0.05, 0.2)),
         (REGRESSION, (0, 1), (0.01, 0.1)),
     ])
-    def test_bit_identical_to_per_cell_evaluation(self, kwargs, seeds, grid):
-        # the reference draws fresh noise through corrupt for every
-        # (variant, sigma, seed), as the ablation did before sharing draws
+    def test_bit_identical_to_reference_pipeline(self, kwargs, seeds, grid):
         tasks = [make_toy_task(seed=s, **kwargs) for s in seeds]
+        for variant in VARIANTS:
+            for sigma in (0.0,) + grid:
+                assert evaluate_crossmodal(tasks[0], variant, sigma, 1e-3, noise_seed=7) == \
+                    ref_evaluate(tasks[0], variant, sigma, 1e-3, noise_seed=7)
         higher_better = tasks[0].latent_spec.kind == "classification"
         expected = []
         for variant in VARIANTS:
             best = None
             for sigma in grid if variant in ("c22", "c22_span", "c3") else (0.0,):
-                vals = np.array([evaluate_crossmodal(t, variant, sigma, 1e-3, noise_seed=1000 + s)
+                vals = np.array([ref_evaluate(t, variant, sigma, 1e-3, noise_seed=1000 + s)
                                  for t, s in zip(tasks, seeds)])
                 mean = float(vals.mean())
                 if best is None or (mean > best[1] if higher_better else mean < best[1]):
                     best = (sigma, mean, float(vals.std()))
             expected.append(AblationRow(variant, best[0], best[1], best[2], len(seeds)))
         assert run_ablation(task_kwargs=kwargs, seeds=seeds, sigma_grid=grid) == expected
+
+    def test_empty_sigma_grid_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            run_ablation(sigma_grid=())
+
+    def test_unknown_variant_rejected_before_any_task(self, monkeypatch):
+        def no_task(**kwargs):
+            raise AssertionError("a task was built")
+        monkeypatch.setattr(bench, "make_toy_task", no_task)
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_ablation(variants=("c1", "c4"))
+
+    def test_span_only_needs_a_gap_direction(self):
+        kwargs = dict(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0)
+        with pytest.raises(ValueError, match="gap_direction"):
+            run_ablation(task_kwargs=kwargs, variants=("c1", "c22_span"), seeds=(0,))
 
     def test_noise_drawn_once_per_seed(self, monkeypatch):
         calls = []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaplab.c3 import C3Config, _add_noise, _unit_noise, collapse, corrupt, train_transform
+from gaplab.c3 import C3Config, _add_noise, _unit_noise, collapse, corrupt
 from gaplab.worlds import make_gap_world
 
 
@@ -46,7 +46,7 @@ class TestCorrupt:
     def test_zero_sigma_is_identity(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((10, 4))
-        out = corrupt(m, C3Config(collapse=False, corrupt=True, sigma=0.0))
+        out = corrupt(m, C3Config(sigma=0.0))
         np.testing.assert_array_equal(out, m)
         assert out is not m
 
@@ -102,27 +102,6 @@ class TestCorrupt:
 
 
 class TestPipelines:
-    def test_all_off_is_identity(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((15, 5))
-        cfg = C3Config(collapse=False, corrupt=False)
-        np.testing.assert_array_equal(train_transform(m, m.mean(axis=0), cfg), m)
-
-    def test_collapse_only_equals_collapse(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((15, 5))
-        mean = m.mean(axis=0)
-        cfg = C3Config(collapse=True, corrupt=False)
-        np.testing.assert_array_equal(train_transform(m, mean, cfg), collapse(m, mean))
-
-    def test_order_collapse_then_corrupt(self):
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((12, 4))
-        mean = m.mean(axis=0)
-        cfg = C3Config(collapse=True, corrupt=True, sigma=0.2, seed=5)
-        expected = corrupt(collapse(m, mean), cfg)
-        np.testing.assert_array_equal(train_transform(m, mean, cfg), expected)
-
     def test_test_transform_never_noisy(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((15, 5))
@@ -136,7 +115,7 @@ class TestPipelines:
         w = make_gap_world(n=2000, d=24, span_dim=6, gap_norm=0.83, sigma=0.05, seed=12)
         x = w.pairs.x.values
         y = w.pairs.y.values
-        train_side = train_transform(y, y.mean(axis=0), C3Config(collapse=True, corrupt=False))
+        train_side = collapse(y, y.mean(axis=0))
         test_side = collapse(x, x.mean(axis=0))
         dist = np.linalg.norm(train_side.mean(axis=0) - test_side.mean(axis=0))
         assert dist < 1e-12

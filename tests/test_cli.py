@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import cli
+from gaplab import cli, contrastive
+from gaplab.contrastive import ContrastiveBatch, loss_bound_check
 from gaplab.cli import main, resolve_config
 from gaplab.embio import read_csv, write_mmeb
+from gaplab.linalg import PairedEmbeddings, l2_normalize_rows
 
 
 def report_bytes(out_dir):
@@ -146,6 +148,37 @@ class TestCommands:
         assert rc == 0
         doc = json.loads((out / "stable-region.json").read_text())
         assert doc["results"]["bound_violations"] == 0
+
+    def test_stable_region_forms_each_row_once(self, tmp_path, monkeypatch):
+        # one similarity row per instance, shared by every tau, and the
+        # report's figures equal loss_bound_check's on the same batch
+        splits, margins = [], []
+        split, margin = cli._anchor_split, contrastive.margin
+        monkeypatch.setattr(cli, "_anchor_split", lambda *a: splits.append(a[2]) or split(*a))
+        monkeypatch.setattr(contrastive, "margin", lambda *a: margins.append(a) or margin(*a))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"instances": 10, "n": 5, "d": 6}))
+        out = tmp_path / "out"
+        assert main(["stable-region", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+        assert splits == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
+        assert margins == []
+        taus = resolve_config("stable-region", None, None)["taus"]
+        rng = np.random.default_rng(7)
+        expected = []
+        for batch_no in range(2):
+            x = l2_normalize_rows(rng.standard_normal((5, 6)))
+            y = l2_normalize_rows(rng.standard_normal((5, 6)))
+            for i in range(5):
+                for tau in taus:
+                    rep = loss_bound_check(ContrastiveBatch(PairedEmbeddings(x=x, y=y), tau), i, 0.01)
+                    expected.append([5 * batch_no + i, tau, rep.margin, rep.crowding,
+                                     rep.loss_i, rep.bound])
+        lines = [line for line in (out / "stable-region.instances.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0].split(",")[:7] == ["instance", "tau", "margin", "crowding", "threshold",
+                                           "loss_i", "bound"]
+        got = [[float(v) for i, v in enumerate(line.split(",")[:7]) if i != 4] for line in lines[1:]]
+        assert got == expected
 
     def test_reports_byte_identical(self, tmp_path):
         cfg = tmp_path / "c.json"
