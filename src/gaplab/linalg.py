@@ -23,6 +23,9 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-9
 DEFAULT_GAMMA = 0.99
+# Size of one gathered block of float64 pair rows: small enough to stay in a
+# core's L2 cache (128 rows at d=512).
+_BLOCK_BYTES = 512 * 1024
 
 
 def as_array(m) -> np.ndarray:
@@ -191,6 +194,8 @@ def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray
 def _index_pairs(rng: np.random.Generator, n: int, wanted: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (j, k), j != k, of n rows: all j < k when there are at most
     ``wanted`` of them, else ``wanted`` uniform draws from ``rng``."""
+    if wanted < 1:
+        raise ValueError(f"pair budget must be >= 1, got {wanted}")
     if n * (n - 1) // 2 <= wanted:
         return np.triu_indices(n, k=1)
     j = rng.integers(0, n, size=wanted)
@@ -198,14 +203,32 @@ def _index_pairs(rng: np.random.Generator, n: int, wanted: int) -> tuple[np.ndar
     return j, np.where(k >= j, k + 1, k)  # k != j, uniform over the rest
 
 
+def _row_blocks(n: int, d: int):
+    """Consecutive slices of ``range(n)``, each ``_BLOCK_BYTES`` of float64
+    rows of width ``d`` long (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (8 * d))
+    return (slice(s, s + step) for s in range(0, n, step))
+
+
 def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
                   tol: float = 0.0) -> tuple[np.ndarray, int]:
     """Cosines of the row pairs (j, k) clamped to [-1, 1], and the number of
-    pairs skipped because one of their rows has norm <= ``tol``."""
+    pairs skipped because one of their rows has norm <= ``tol``.
+
+    The rows of a pair are gathered one ``_row_blocks`` block of pairs at a
+    time, so the gathered copies stay cache-sized instead of growing with
+    the pair count (two 41 MB copies for 10,000 pairs of 512-d rows). Each
+    dot product is a per-row reduction, so its value does not depend on
+    how many rows share the call: the result equals one unblocked gather's,
+    bit for bit.
+    """
     norms = np.linalg.norm(rows, axis=1)
     ok = (norms[j] > tol) & (norms[k] > tol)
     j, k = j[ok], k[ok]
-    vals = np.einsum("ij,ij->i", rows[j], rows[k]) / (norms[j] * norms[k])
+    dots = np.empty(j.size)
+    for blk in _row_blocks(j.size, rows.shape[1]):
+        np.einsum("ij,ij->i", rows[j[blk]], rows[k[blk]], out=dots[blk])
+    vals = dots / (norms[j] * norms[k])
     return np.clip(vals, -1.0, 1.0), int(ok.size - j.size)
 
 

@@ -217,8 +217,8 @@ class MlpProbe:
 
 def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
     c = covariance(h)
-    norms = np.linalg.norm(h, axis=1)
-    live = h[norms > 0.0]
+    alive = np.linalg.norm(h, axis=1) > 0.0
+    live = h if alive.all() else h[alive]
     cone = mean_pairwise_cosine(live, seed=seed) if live.shape[0] >= 2 else (0.0, 0.0)
     if float(np.abs(c).sum()) == 0.0:
         # Total die-off (or exactly constant features): no spectrum to report.
@@ -247,7 +247,8 @@ def mlp_collapse_sim(cfg: MlpSimConfig = MlpSimConfig()) -> list[MlpProbe]:
     probes = [_probe(h, 0, cfg.gamma, cfg.seed)]
     for layer in range(1, cfg.depth + 1):
         w = xavier_uniform(cfg.width, cfg.width, rng)
-        h = np.maximum(h @ w.T, 0.0)
+        h = h @ w.T
+        np.maximum(h, 0.0, out=h)
         if layer % cfg.probe_stride == 0:
             probes.append(_probe(h, layer, cfg.gamma, cfg.seed))
     return probes

@@ -104,6 +104,12 @@ class TestGroupStatistics:
         with pytest.raises(ValueError, match="2 groups"):
             group_statistics(group_pairs(w.pairs, 100, seed=0))
 
+    @pytest.mark.parametrize("pairs_per_group", [0, -5])
+    def test_rejects_pair_budget_below_one(self, pairs_per_group):
+        w = make_gap_world(n=200, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=8)
+        with pytest.raises(ValueError, match=f"pair budget must be >= 1, got {pairs_per_group}"):
+            group_statistics(group_pairs(w.pairs, 100, seed=0), pairs_per_group)
+
 
 class TestGapVector:
     def test_pure_constant_offset(self):

@@ -202,6 +202,12 @@ class TestMeanPairwiseCosine:
         with pytest.raises(ValueError):
             mean_pairwise_cosine(m)
 
+    @pytest.mark.parametrize("max_pairs", [0, -5])
+    def test_rejects_pair_budget_below_one(self, max_pairs):
+        m = np.random.default_rng(2).standard_normal((10, 4))
+        with pytest.raises(ValueError, match=f"pair budget must be >= 1, got {max_pairs}"):
+            mean_pairwise_cosine(m, max_pairs=max_pairs)
+
 
 class TestContainers:
     def test_unit_norm_contract_enforced(self):

@@ -9,6 +9,14 @@ statistics loop built on them, and the inline crowding sum of
 vector or a normalized row matches bit for bit; gap orthogonality (a
 mat-vec now) and the pairwise cosines (row norms divided out after the dot
 product now) may move by rounding, at most 1e-15.
+
+``TestBlockedGathersMatchUnblocked`` holds the pair cosines, the grouped
+statistics and the MLP forward as they were before pair rows were gathered
+in cache-sized blocks (one gather of every pair, ``np.maximum`` into a new
+array), and requires the blocked code to match them bit for bit, also with
+the block shrunk to one row and to a row count that divides no pair count.
+The one exception is gap orthogonality at a shrunk block: its BLAS mat-vec
+rounds a row by the row's place in the call, so there it may move by 1e-15.
 """
 
 import math
@@ -16,11 +24,12 @@ import math
 import numpy as np
 import pytest
 
+from gaplab import linalg
 from gaplab.contrastive import ContrastiveBatch, crowding_factor, loss_bound_check, margin
 from gaplab.geometry import GapReport, PairGroups, group_pairs, group_statistics
-from gaplab.linalg import (EmbeddingMatrix, PairedEmbeddings, _index_pairs, l2_normalize_rows,
-                           mean_pairwise_cosine)
-from gaplab.worlds import make_gap_world
+from gaplab.linalg import (EmbeddingMatrix, PairedEmbeddings, _index_pairs, covariance,
+                           l2_normalize_rows, mean_pairwise_cosine, spectral_summary)
+from gaplab.worlds import MlpSimConfig, make_gap_world, mlp_collapse_sim, xavier_uniform
 
 ZERO_VECTOR_TOL = 1e-12
 
@@ -126,6 +135,86 @@ def ref_loss_bound_check(batch, i, delta):
     return loss_i, bound, r, o, bool(loss_i <= delta)
 
 
+def ref_unblocked_pair_cosines(rows, j, k, tol=0.0):
+    norms = np.linalg.norm(rows, axis=1)
+    ok = (norms[j] > tol) & (norms[k] > tol)
+    j, k = j[ok], k[ok]
+    vals = np.einsum("ij,ij->i", rows[j], rows[k]) / (norms[j] * norms[k])
+    return np.clip(vals, -1.0, 1.0), int(ok.size - j.size)
+
+
+def ref_unblocked_mean_pairwise_cosine(a, max_pairs=10_000, seed=0):
+    pairs = ref_sample_index_pairs(np.random.default_rng(seed), a.shape[0], max_pairs)
+    vals, _ = ref_unblocked_pair_cosines(a, *pairs)
+    return float(vals.mean()), float(vals.std())
+
+
+def ref_unblocked_group_statistics(groups, pairs_per_group=1000, seed=0):
+    x = groups.source.x.values
+    y = groups.source.y.values
+    rng = np.random.default_rng(seed)
+    gap_vectors, gap_lengths, ortho_vals, noise_dir_vals = [], [], [], []
+    eps_sum = np.zeros(x.shape[1])
+    eps_count = 0
+    skipped = 0
+    for idx in groups.groups:
+        gx = x[idx]
+        diffs = gx - y[idx]
+        d_i = diffs.mean(axis=0)
+        length = np.linalg.norm(d_i)
+        gap_vectors.append(d_i)
+        gap_lengths.append(length)
+        eps = diffs - d_i
+        eps_sum += eps.sum(axis=0)
+        eps_count += eps.shape[0]
+        j, k = ref_sample_index_pairs(rng, len(idx), pairs_per_group)
+        r = gx[j] - gx[k]
+        r_norms = np.linalg.norm(r, axis=1)
+        ok = (r_norms > ZERO_VECTOR_TOL) & (length > ZERO_VECTOR_TOL)
+        ortho_vals.append(np.clip((r @ d_i)[ok] / (r_norms[ok] * length), -1.0, 1.0))
+        skipped += int((~ok).sum())
+        vals, miss = ref_unblocked_pair_cosines(
+            eps, *ref_sample_index_pairs(rng, len(idx), pairs_per_group), ZERO_VECTOR_TOL)
+        noise_dir_vals.append(vals)
+        skipped += miss
+    gap_vectors = np.asarray(gap_vectors)
+    dir_vals, miss = ref_unblocked_pair_cosines(
+        gap_vectors, *np.triu_indices(len(groups.groups), k=1), ZERO_VECTOR_TOL)
+    skipped += miss
+    return GapReport(
+        gap_length=ref_mean_std(np.asarray(gap_lengths)),
+        gap_direction=ref_mean_std(dir_vals),
+        gap_orthogonality=ref_mean_std(np.concatenate(ortho_vals)),
+        noise_mean=ref_mean_std(eps_sum / eps_count),
+        noise_direction=ref_mean_std(np.concatenate(noise_dir_vals)),
+        n_groups=len(groups.groups),
+        group_size=groups.group_size,
+        skipped_zero_pairs=skipped,
+    )
+
+
+def ref_unblocked_mlp_probes(cfg):
+    """(layer, live rows, cone, spectrum or None) per probe of the unfused forward."""
+    def probe(h, layer):
+        c = covariance(h)
+        live = h[np.linalg.norm(h, axis=1) > 0.0]
+        cone = (ref_unblocked_mean_pairwise_cosine(live, seed=cfg.seed)
+                if live.shape[0] >= 2 else (0.0, 0.0))
+        spectrum = (None if float(np.abs(c).sum()) == 0.0
+                    else spectral_summary(c, cfg.gamma).singular_values)
+        return layer, live.shape[0], cone, spectrum
+
+    rng = np.random.default_rng(cfg.seed)
+    h = rng.standard_normal((cfg.n_inputs, cfg.width))
+    probes = [probe(h, 0)]
+    for layer in range(1, cfg.depth + 1):
+        w = xavier_uniform(cfg.width, cfg.width, rng)
+        h = np.maximum(h @ w.T, 0.0)
+        if layer % cfg.probe_stride == 0:
+            probes.append(probe(h, layer))
+    return probes
+
+
 def degenerate_groups():
     """Explicit groups on which every kind of cosine meets zero-norm vectors.
 
@@ -221,3 +310,75 @@ class TestSharedPrimitivesMatchReference:
                 assert o_prime == 1.0 + float(np.exp((np.delete(negatives, np.argmax(negatives))
                                                       - negatives.max()) / tau).sum())
                 assert o == rep.crowding
+
+
+# A block of one row, and of 93 rows: 93 divides none of the pair counts
+# below, so the last block is partial. None keeps the module's block size.
+BLOCKS = [None, 1, 93]
+
+
+def set_block_rows(monkeypatch, rows, d):
+    if rows is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * d * rows)
+        assert next(linalg._row_blocks(10_000, d)) == slice(0, rows)
+
+
+class TestBlockedGathersMatchUnblocked:
+    @pytest.mark.parametrize("rows", BLOCKS)
+    @pytest.mark.parametrize("n,d,max_pairs", [
+        (1000, 512, 10_000),  # sampled pairs, 128-row blocks
+        (300, 700, 10_000),   # sampled pairs, 93-row blocks, the last one partial
+        (100, 512, 10_000),   # every pair (4950)
+    ])
+    def test_mean_pairwise_cosine(self, monkeypatch, rows, n, d, max_pairs):
+        m = np.random.default_rng(n + d).standard_normal((n, d)) + 0.5
+        set_block_rows(monkeypatch, rows, d)
+        assert (mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4)
+                == ref_unblocked_mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4))
+
+    @pytest.mark.parametrize("rows", BLOCKS)
+    @pytest.mark.parametrize("source,pairs_per_group", [
+        ("world", 1000),       # sampled within-group pairs
+        ("world", 5000),       # every within-group pair (4950)
+        ("degenerate", 1000),  # every within-group pair (1225), zero norms skipped
+        ("degenerate", 300),
+    ])
+    def test_group_statistics(self, monkeypatch, rows, source, pairs_per_group):
+        if source == "world":
+            w = make_gap_world(n=2000, d=512, span_dim=16, gap_norm=0.83, sigma=0.05, seed=5)
+            groups = group_pairs(w.pairs, group_size=100, seed=2)
+        else:
+            groups = degenerate_groups()
+        set_block_rows(monkeypatch, rows, groups.source.d)
+        got = group_statistics(groups, pairs_per_group, seed=7)
+        want = ref_unblocked_group_statistics(groups, pairs_per_group, seed=7)
+        for field in ("gap_length", "gap_direction", "noise_mean", "noise_direction",
+                      "n_groups", "group_size", "skipped_zero_pairs"):
+            assert getattr(got, field) == getattr(want, field), field
+        if rows is None:
+            assert got.gap_orthogonality == want.gap_orthogonality
+        else:
+            # The BLAS mat-vec r @ d_i rounds a row by its place in the call:
+            # OpenBLAS sums rows outside its 4-row kernel in another order, so
+            # blocks that regroup the rows move the statistic by rounding.
+            assert np.abs(np.subtract(got.gap_orthogonality,
+                                      want.gap_orthogonality)).max() <= 1e-15
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    @pytest.mark.parametrize("cfg,partly_dead", [
+        (MlpSimConfig(depth=10, width=64, n_inputs=200, probe_stride=5, seed=0), False),
+        (MlpSimConfig(depth=10, width=4, n_inputs=60, probe_stride=5, seed=1), True),
+    ])
+    def test_mlp_collapse_probes(self, monkeypatch, rows, cfg, partly_dead):
+        set_block_rows(monkeypatch, rows, cfg.width)
+        got = mlp_collapse_sim(cfg)
+        want = ref_unblocked_mlp_probes(cfg)
+        assert [p.layer for p in got] == [w[0] for w in want]
+        for p, (_, _, cone, spectrum) in zip(got, want):
+            assert (p.cone_mean, p.cone_std) == cone
+            assert p.dead == (spectrum is None)
+            if spectrum is not None:
+                assert np.array_equal(p.summary.singular_values, spectrum)
+        # the second net loses some rows but not all, so the probe's
+        # live-row selection is exercised on both paths
+        assert any(0 < live < cfg.n_inputs for _, live, _, _ in want) == partly_dead
