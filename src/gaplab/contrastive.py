@@ -20,6 +20,15 @@ All of it comes from one logits pass (``_forward``): z = x y^T / tau is
 formed once, both softmaxes are max-shifted exps, and the loss reuses their
 exp sums. The gradients of either form weigh rows by W = P_row + P_col,
 summed in place, at two n x n x d products (W @ y, W^T @ x) per step.
+
+The pass runs in a ``_Workspace``: two n x n buffers (z, which becomes
+P_row and then W, and P_col), one n x d scratch block and the two n x d
+gradients, every operation writing into them through ``out=`` and in-place
+ufuncs in the order the allocating expressions would run, so the bits are
+the same. ``train_contrastive`` keeps one workspace for the whole run and
+updates and re-projects its state in place, so a step allocates no n x n or
+n x d array. The public helpers build a fresh workspace on every call:
+what they return never shares memory with another call's result.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EmbeddingMatrix, PairedEmbeddings, l2_normalize_rows
+from .linalg import EmbeddingMatrix, PairedEmbeddings, _normalize_rows_inplace, l2_normalize_rows
 
 __all__ = [
     "ContrastiveBatch",
@@ -89,40 +98,83 @@ class GradientPair:
 _EXP_FLOOR = -700.0
 
 
-def _forward(x: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(P_row, P_col, loss) with P_row[k, i] = p(y_i | x_k), P_col[k, i] = p(x_k | y_i)."""
-    z = x @ y.T / tau
-    probs, lses = [], []
-    for axis in (1, 0):
+class _Workspace:
+    """Preallocated buffers for one gradient step at n rows of width d.
+
+    ``z`` holds the logits, then P_row, then W = P_row + P_col; ``p_col``
+    holds P_col; ``scratch`` holds one n x d intermediate at a time (twice a
+    modality, a modality shifted by its first row, or squared entries for
+    row norms); ``gx`` and ``gy`` hold the gradients.
+    """
+
+    __slots__ = ("z", "p_col", "scratch", "gx", "gy")
+
+    def __init__(self, n: int, d: int):
+        self.z = np.empty((n, n))
+        self.p_col = np.empty((n, n))
+        self.scratch = np.empty((n, d))
+        self.gx = np.empty((n, d))
+        self.gy = np.empty((n, d))
+
+
+def _forward(
+    x: np.ndarray, y: np.ndarray, tau: float, ws: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(P_row, P_col, loss) with P_row[k, i] = p(y_i | x_k), P_col[k, i] = p(x_k | y_i).
+
+    P_row is ``ws.z`` and P_col is ``ws.p_col``; without ``ws`` both are new.
+    """
+    if ws is None:
+        ws = _Workspace(x.shape[0], x.shape[1])
+    z, p_col = ws.z, ws.p_col
+    np.matmul(x, y.T, out=z)
+    z /= tau
+    diag = np.diagonal(z).copy()
+    # The column softmax reads z into p_col; the row softmax then overwrites z.
+    lses = []
+    for axis, e in ((0, p_col), (1, z)):
         m = z.max(axis=axis, keepdims=True)
-        e = z - m
+        np.subtract(z, m, out=e)
         np.maximum(e, _EXP_FLOOR, out=e)
         np.exp(e, out=e)
         s = e.sum(axis=axis, keepdims=True)
         e /= s
-        probs.append(e)
         lses.append((m + np.log(s)).ravel())
-    loss = -(2.0 * np.diagonal(z) - lses[0] - lses[1]).sum() / (2.0 * x.shape[0])
-    return probs[0], probs[1], float(loss)
+    lse_col, lse_row = lses
+    loss = -(2.0 * diag - lse_row - lse_col).sum() / (2.0 * x.shape[0])
+    return z, p_col, float(loss)
 
 
 def _gradients(
-    x: np.ndarray, y: np.ndarray, tau: float, span: bool
+    x: np.ndarray, y: np.ndarray, tau: float, span: bool, ws: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(grad_x, grad_y, loss) of the exact or the span form from one ``_forward`` pass."""
-    w, p_col, loss = _forward(x, y, tau)
+    """(grad_x, grad_y, loss) of the exact or the span form from one ``_forward`` pass.
+
+    The gradients are ``ws.gx`` and ``ws.gy``; without ``ws`` they are new.
+    """
+    if ws is None:
+        ws = _Workspace(x.shape[0], x.shape[1])
+    w, p_col, loss = _forward(x, y, tau, ws)
     w += p_col
     lam = 1.0 / (2.0 * x.shape[0] * tau)
-    if not span:
-        return -lam * (2.0 * y - w @ y), -lam * (2.0 * x - w.T @ x), loss
-    # Shifting by the first row before weighting telescopes away exactly, but
-    # makes coordinates where all rows agree contribute bitwise-exact zeros.
-    ys = y - y[0]
-    grad_x = lam * (w @ ys - w.sum(axis=1)[:, None] * ys)
-    w_y = w.T
-    xs = x - x[0]
-    grad_y = lam * (w_y @ xs - w_y.sum(axis=1)[:, None] * xs)
-    return grad_x, grad_y, loss
+    t = ws.scratch
+    for g, w_g, other in ((ws.gx, w, y), (ws.gy, w.T, x)):
+        if not span:
+            # -lam * (2 other - W other)
+            np.matmul(w_g, other, out=g)
+            np.multiply(other, 2.0, out=t)
+            np.subtract(t, g, out=g)
+            g *= -lam
+        else:
+            # Shifting by the first row before weighting telescopes away exactly,
+            # but makes coordinates where all rows agree contribute bitwise-exact
+            # zeros: lam * (W shifted - rowsum(W) * shifted).
+            np.subtract(other, other[0], out=t)
+            np.matmul(w_g, t, out=g)
+            t *= w_g.sum(axis=1)[:, None]
+            g -= t
+            g *= lam
+    return ws.gx, ws.gy, loss
 
 
 def conditional_probs(batch: ContrastiveBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +271,19 @@ class TrainingResult:
     final: PairedEmbeddings
 
 
+def _checked_mask(masked_dims, d: int) -> np.ndarray:
+    """``masked_dims`` as an intp array, or ValueError unless it is a
+    non-empty 1-d array of integer dimensions in [0, d)."""
+    mask = np.asarray(masked_dims)
+    if mask.ndim != 1 or mask.size == 0 or not np.issubdtype(mask.dtype, np.integer):
+        raise ValueError("masked_dims must be a non-empty 1-d array of integer dimensions, "
+                         f"got shape {mask.shape} of dtype {mask.dtype}")
+    lo, hi = int(mask.min()), int(mask.max())
+    if lo < 0 or hi >= d:
+        raise ValueError(f"masked_dims must lie in [0, {d}), got dimensions {lo} to {hi}")
+    return mask.astype(np.intp, copy=False)
+
+
 def train_contrastive(
     init: PairedEmbeddings,
     tau: float = DEFAULT_TAU,
@@ -238,17 +303,29 @@ def train_contrastive(
     With ``renormalize_each_step`` the initial embeddings must already be
     unit-norm; without it any finite initialization is accepted.
 
+    The step runs in one ``_Workspace`` kept for the whole run, and updates
+    and re-projects the state in place.
+
     Raises
     ------
+    ValueError
+        If ``masked_dims`` is empty, not a 1-d array of integers, or holds a
+        dimension outside [0, d).
     FloatingPointError
         If the loss or an update turns non-finite (reported with its step).
     """
     if cfg.renormalize_each_step and not (init.x.unit_norm and init.y.unit_norm):
         raise ValueError("projected descent requires unit-norm initial embeddings")
-    mask = None if masked_dims is None else np.asarray(masked_dims, dtype=np.intp)
+    n, d = init.n, init.d
+    mask = None if masked_dims is None else _checked_mask(masked_dims, d)
     span = cfg.gradient_form == "span"
     x = init.x.values.copy()
     y = init.y.values.copy()
+    ws = _Workspace(n, d)
+    finite = np.empty((n, d), dtype=bool)
+
+    if mask is not None:
+        masked_abs = np.empty((n, mask.size))
 
     def analysis_views() -> tuple[np.ndarray, np.ndarray]:
         if cfg.renormalize_each_step:
@@ -274,13 +351,15 @@ def train_contrastive(
     trajectory: list[TrainingRecord] = []
     running_masked_max = 0.0
     for step in range(cfg.steps + 1):
-        grad_x, grad_y, loss = _gradients(x, y, tau, span)
+        grad_x, grad_y, loss = _gradients(x, y, tau, span, ws)
         if mask is not None:
-            seen = max(
-                float(np.abs(grad_x[:, mask]).max()),
-                float(np.abs(grad_y[:, mask]).max()),
-            )
-            running_masked_max = max(running_masked_max, seen)
+            seen = []
+            for g in (grad_x, grad_y):
+                # The mask is range-checked, so "clip" never clips; it gathers
+                # straight into the buffer where "raise" would buffer again.
+                np.take(g, mask, axis=1, out=masked_abs, mode="clip")
+                seen.append(float(np.abs(masked_abs, out=masked_abs).max()))
+            running_masked_max = max(running_masked_max, max(seen))
         if step % cfg.record_every == 0 or step == cfg.steps:
             trajectory.append(snapshot(step, loss, running_masked_max))
             running_masked_max = 0.0
@@ -288,14 +367,18 @@ def train_contrastive(
             break
         if cfg.learning_rate == 0.0:
             continue  # a zero update followed by projection must be a bitwise no-op
-        x = x - cfg.learning_rate * grad_x
-        y = y - cfg.learning_rate * grad_y
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        for a, g in ((x, grad_x), (y, grad_y)):
+            g *= cfg.learning_rate
+            a -= g
+        if not (np.isfinite(x, out=finite).all() and np.isfinite(y, out=finite).all()):
             raise FloatingPointError(f"update diverged at step {step}")
         if cfg.renormalize_each_step:
+            # The rows are finite here, so dividing them by their norms keeps
+            # them finite: of EmbeddingMatrix's unit-norm checks only the
+            # zero row and the 1e-9 norm band can fail.
             try:
-                x = l2_normalize_rows(x).values
-                y = l2_normalize_rows(y).values
+                for a in (x, y):
+                    _normalize_rows_inplace(a, ws.scratch)
             except ValueError as exc:
                 raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
 

@@ -147,17 +147,17 @@ def group_statistics(
         eps_count += eps.shape[0]
 
         # cos(d_i, r) for every within-group difference r = x_j - x_k, one
-        # block of pairs at a time as in _pair_cosines. Unlike its einsum, the
-        # BLAS mat-vec r @ d_i can round a row by its place in the call (OpenBLAS
-        # sums rows outside its 4-row kernel in another order), so the block
-        # size is part of this statistic's last bits.
+        # block of pairs at a time as in _pair_cosines. The dot is a per-row
+        # einsum reduction, not the BLAS mat-vec r @ d_i: OpenBLAS rounds a
+        # mat-vec row by its place in the call and by the thread split, so
+        # the block size and the thread count would reach the last bits.
         j, k = _index_pairs(rng, len(idx), pairs_per_group)
         r_norms = np.empty(j.size)
         r_dots = np.empty(j.size)
         for blk in _row_blocks(j.size, gx.shape[1]):
             r = gx[j[blk]] - gx[k[blk]]
             r_norms[blk] = np.linalg.norm(r, axis=1)
-            r_dots[blk] = r @ d_i
+            np.einsum("ij,j->i", r, d_i, out=r_dots[blk])
         ok = (r_norms > ZERO_VECTOR_TOL) & (length > ZERO_VECTOR_TOL)
         ortho_vals.append(np.clip(r_dots[ok] / (r_norms[ok] * length), -1.0, 1.0))
         skipped += int((~ok).sum())

@@ -60,12 +60,7 @@ class EmbeddingMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("embedding matrix contains non-finite values")
         if self.unit_norm:
-            norms = np.linalg.norm(a, axis=1)
-            bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
-            if bad.size:
-                raise ValueError(
-                    f"unit_norm contract violated at row {bad[0]}: norm={norms[bad[0]]!r}"
-                )
+            _check_unit_norms(np.linalg.norm(a, axis=1))
         object.__setattr__(self, "values", a)
 
     @property
@@ -108,11 +103,48 @@ def l2_normalize_rows(m) -> EmbeddingMatrix:
         If any row is the zero vector (reported with its row index).
     """
     a = as_array(m)
-    norms = np.linalg.norm(a, axis=1)
+    out = np.empty_like(a)
+    _unit_rows_into(a, out, scratch=out)
+    return EmbeddingMatrix(out, unit_norm=True)
+
+
+def _check_unit_norms(norms: np.ndarray) -> None:
+    """Raise ValueError unless every row norm is within ``UNIT_NORM_TOL`` of 1."""
+    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    if bad.size:
+        raise ValueError(f"unit_norm contract violated at row {bad[0]}: norm={norms[bad[0]]!r}")
+
+
+def _row_norms(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` bit for bit, its squares written into
+    ``scratch`` (a's shape and layout) instead of a new array."""
+    np.multiply(a, a, out=scratch)
+    return np.sqrt(np.add.reduce(scratch, axis=1))
+
+
+def _unit_rows_into(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write ``a`` with every row scaled to unit L2 norm into ``out``.
+
+    ``out`` may be ``a`` (normalize in place) and ``scratch`` may be ``out``
+    when it is not ``a``. Raises ValueError on a zero row, reported with its
+    index, before ``out`` is written.
+    """
+    norms = _row_norms(a, scratch)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot normalize zero row at index {zero[0]}")
-    return EmbeddingMatrix(a / norms[:, None], unit_norm=True)
+    np.divide(a, norms[:, None], out=out)
+
+
+def _normalize_rows_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
+    """Scale every row of ``a`` to unit L2 norm in place, then check it as
+    ``EmbeddingMatrix(a, unit_norm=True)`` would, without building one.
+
+    ``scratch`` has a's shape and layout. Raises ValueError on a zero row or
+    a row norm outside ``UNIT_NORM_TOL`` of 1, reported with its index.
+    """
+    _unit_rows_into(a, a, scratch)
+    _check_unit_norms(_row_norms(a, scratch))
 
 
 def covariance(m) -> np.ndarray:

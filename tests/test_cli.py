@@ -63,6 +63,7 @@ def exits_2_with_one_line(capsys, tmp_path, command, config, *flags):
     assert err.count("\n") == 1 and err.startswith(f"gaplab {command}: error: ")
     assert "Traceback" not in err
     assert not out.exists()  # rejected before the runner ran
+    return err
 
 
 class TestConfigTypes:
@@ -103,6 +104,11 @@ class TestConfigTypes:
     ])
     def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
         exits_2_with_one_line(capsys, tmp_path, command, config)
+
+    def test_no_shared_dimension_to_mask_exits_2(self, capsys, tmp_path):
+        # dex + dey = d leaves no shared constant dimension to mask
+        err = exits_2_with_one_line(capsys, tmp_path, "train-sim", {"dex": 25, "dey": 487})
+        assert "masked_dims must be a non-empty 1-d array" in err
 
     def test_nan_never_reaches_a_report(self, tmp_path):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaplab import contrastive
 from gaplab.contrastive import (
     ContrastiveBatch,
     _gradients,
@@ -510,3 +511,172 @@ class TestOnePassMatchesPerHelperReference:
         assert [r.step for r in res.trajectory] == [0, 25, 50, 60]
         assert res.trajectory[0].loss == ref_loss(init.x.values, init.y.values, 0.07)
         assert res.trajectory[-1].loss == ref_loss(res.final.x.values, res.final.y.values, 0.07)
+
+
+# The allocating step the workspace trainer replaced, copied verbatim: every
+# step builds z, both softmaxes, W and the gradients afresh, updates with
+# x - lr * g and re-projects through a new validated EmbeddingMatrix.
+def _ref_alloc_forward(x, y, tau):
+    z = x @ y.T / tau
+    probs, lses = [], []
+    for axis in (1, 0):
+        m = z.max(axis=axis, keepdims=True)
+        e = z - m
+        np.maximum(e, _REF_FLOOR, out=e)
+        np.exp(e, out=e)
+        s = e.sum(axis=axis, keepdims=True)
+        e /= s
+        probs.append(e)
+        lses.append((m + np.log(s)).ravel())
+    loss = -(2.0 * np.diagonal(z) - lses[0] - lses[1]).sum() / (2.0 * x.shape[0])
+    return probs[0], probs[1], float(loss)
+
+
+def _ref_alloc_gradients(x, y, tau, span):
+    w, p_col, loss = _ref_alloc_forward(x, y, tau)
+    w += p_col
+    lam = 1.0 / (2.0 * x.shape[0] * tau)
+    if not span:
+        return -lam * (2.0 * y - w @ y), -lam * (2.0 * x - w.T @ x), loss
+    ys = y - y[0]
+    grad_x = lam * (w @ ys - w.sum(axis=1)[:, None] * ys)
+    w_y = w.T
+    xs = x - x[0]
+    grad_y = lam * (w_y @ xs - w_y.sum(axis=1)[:, None] * xs)
+    return grad_x, grad_y, loss
+
+
+def _ref_l2_normalize_rows(a):
+    norms = np.linalg.norm(a, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"cannot normalize zero row at index {zero[0]}")
+    return EmbeddingMatrix(a / norms[:, None], unit_norm=True)
+
+
+def ref_alloc_train(init, tau, cfg, masked_dims):
+    """(final x, final y, records as tuples) of the allocating trainer."""
+    mask = None if masked_dims is None else np.asarray(masked_dims, dtype=np.intp)
+    span = cfg.gradient_form == "span"
+    x = init.x.values.copy()
+    y = init.y.values.copy()
+
+    def analysis_views():
+        if cfg.renormalize_each_step:
+            return x, y
+        return _ref_l2_normalize_rows(x).values, _ref_l2_normalize_rows(y).values
+
+    def snapshot(step, loss, masked_grad_max):
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"loss diverged at step {step}")
+        try:
+            xs, ys = analysis_views()
+        except ValueError as exc:
+            raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
+        diff = xs.mean(axis=0) - ys.mean(axis=0)
+        return (step, loss, float(np.linalg.norm(diff)),
+                float(np.linalg.norm(diff if mask is None else diff[mask])), masked_grad_max)
+
+    trajectory = []
+    running_masked_max = 0.0
+    for step in range(cfg.steps + 1):
+        grad_x, grad_y, loss = _ref_alloc_gradients(x, y, tau, span)
+        if mask is not None:
+            seen = max(
+                float(np.abs(grad_x[:, mask]).max()),
+                float(np.abs(grad_y[:, mask]).max()),
+            )
+            running_masked_max = max(running_masked_max, seen)
+        if step % cfg.record_every == 0 or step == cfg.steps:
+            trajectory.append(snapshot(step, loss, running_masked_max))
+            running_masked_max = 0.0
+        if step == cfg.steps:
+            break
+        if cfg.learning_rate == 0.0:
+            continue
+        x = x - cfg.learning_rate * grad_x
+        y = y - cfg.learning_rate * grad_y
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise FloatingPointError(f"update diverged at step {step}")
+        if cfg.renormalize_each_step:
+            try:
+                x = _ref_l2_normalize_rows(x).values
+                y = _ref_l2_normalize_rows(y).values
+            except ValueError as exc:
+                raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
+    return x, y, trajectory
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestWorkspaceTrainerMatchesAllocatingReference:
+    @pytest.mark.parametrize("form,projected,lr,steps,record_every,mask", [
+        ("span", False, 0.1, 120, 25, "world"),          # span on free rows
+        ("exact", True, 0.1, 60, 20, "world"),           # exact projected
+        ("exact", False, 0.1, 60, 20, "world"),          # exact on free rows
+        ("span", True, 0.1, 60, 20, "world"),            # span projected
+        ("exact", True, 0.1, 40, 10, [20, 3, 17, 3]),    # unsorted, with a duplicate
+        ("span", False, 0.1, 40, 10, None),              # no mask
+        ("exact", True, 0.0, 10, 5, "world"),            # zero learning rate
+        ("span", False, 0.1, 47, 10, "world"),           # steps not a multiple
+    ])
+    def test_final_state_and_records_are_bitwise_equal(self, form, projected, lr, steps,
+                                                       record_every, mask):
+        w = make_collapsed_init_world(n=48, d=24, dex=4, dey=10, seed=11)
+        init = w.pairs if projected else PairedEmbeddings(
+            x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
+        masked_dims = w.shared_ineffective if isinstance(mask, str) else mask
+        cfg = TrainerConfig(learning_rate=lr, steps=steps, record_every=record_every,
+                            renormalize_each_step=projected, gradient_form=form)
+        res = train_contrastive(init, 0.07, cfg, masked_dims=masked_dims)
+        want_x, want_y, want_records = ref_alloc_train(init, 0.07, cfg, masked_dims)
+        assert _bitwise_equal(res.final.x.values, want_x)
+        assert _bitwise_equal(res.final.y.values, want_y)
+        got_records = [(r.step, r.loss, r.gap_full, r.gap_masked, r.masked_grad_max)
+                       for r in res.trajectory]
+        assert got_records == want_records
+        assert got_records[-1][0] == steps
+
+    def test_degenerating_projection_fails_at_the_reference_step(self):
+        w = make_collapsed_init_world(n=16, d=12, dex=2, dey=4, seed=5)
+        cfg = TrainerConfig(learning_rate=4.33e153, steps=60, record_every=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as want:
+                ref_alloc_train(w.pairs, 0.07, cfg, w.shared_ineffective)
+            with pytest.raises(FloatingPointError) as got:
+                train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
+        assert "state degenerated at step" in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_public_helpers_never_share_buffers(self):
+        batch = unit_batch(np.random.default_rng(12), 9, 5)
+        arrays = []
+        for _ in range(2):
+            arrays += conditional_probs(batch)
+            for g in (exact_gradients(batch), span_gradients(batch)):
+                arrays += [g.grad_x, g.grad_y]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+class TestMaskedDimsChecked:
+    @pytest.mark.parametrize("masked_dims,message", [
+        ([], "non-empty 1-d array of integer"),
+        (np.array([], dtype=np.intp), "non-empty 1-d array of integer"),
+        ([[20, 21]], "non-empty 1-d array of integer"),
+        ([20.0, 21.0], "non-empty 1-d array of integer"),
+        ([True, False], "non-empty 1-d array of integer"),
+        ([-1], r"must lie in \[0, 24\)"),
+        ([20, 24], r"must lie in \[0, 24\)"),
+    ])
+    def test_bad_mask_rejected_before_the_first_step(self, monkeypatch, masked_dims, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the mask was checked")
+
+        monkeypatch.setattr(contrastive, "_gradients", no_step)
+        w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
+        with pytest.raises(ValueError, match=message):
+            train_contrastive(w.pairs, 0.07, TrainerConfig(steps=2), masked_dims=masked_dims)

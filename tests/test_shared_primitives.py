@@ -6,8 +6,8 @@ within-group pair sampler and row-wise cosines of ``geometry``, the
 normalize-then-dot ``mean_pairwise_cosine`` of ``linalg``, the grouped
 statistics loop built on them, and the inline crowding sum of
 ``loss_bound_check``. Everything that does not take a cosine of a gap
-vector or a normalized row matches bit for bit; gap orthogonality (a
-mat-vec now) and the pairwise cosines (row norms divided out after the dot
+vector or a normalized row matches bit for bit; gap orthogonality (one
+dot with the gap vector per row now) and the pairwise cosines (row norms divided out after the dot
 product now) may move by rounding, at most 1e-15.
 
 ``TestBlockedGathersMatchUnblocked`` holds the pair cosines, the grouped
@@ -15,8 +15,8 @@ statistics and the MLP forward as they were before pair rows were gathered
 in cache-sized blocks (one gather of every pair, ``np.maximum`` into a new
 array), and requires the blocked code to match them bit for bit, also with
 the block shrunk to one row and to a row count that divides no pair count.
-The one exception is gap orthogonality at a shrunk block: its BLAS mat-vec
-rounds a row by the row's place in the call, so there it may move by 1e-15.
+Gap orthogonality's dot products are a per-row einsum, in the reference as
+in the code, so it too matches at every block size.
 """
 
 import math
@@ -171,7 +171,8 @@ def ref_unblocked_group_statistics(groups, pairs_per_group=1000, seed=0):
         r = gx[j] - gx[k]
         r_norms = np.linalg.norm(r, axis=1)
         ok = (r_norms > ZERO_VECTOR_TOL) & (length > ZERO_VECTOR_TOL)
-        ortho_vals.append(np.clip((r @ d_i)[ok] / (r_norms[ok] * length), -1.0, 1.0))
+        r_dots = np.einsum("ij,j->i", r, d_i)
+        ortho_vals.append(np.clip(r_dots[ok] / (r_norms[ok] * length), -1.0, 1.0))
         skipped += int((~ok).sum())
         vals, miss = ref_unblocked_pair_cosines(
             eps, *ref_sample_index_pairs(rng, len(idx), pairs_per_group), ZERO_VECTOR_TOL)
@@ -352,17 +353,9 @@ class TestBlockedGathersMatchUnblocked:
         set_block_rows(monkeypatch, rows, groups.source.d)
         got = group_statistics(groups, pairs_per_group, seed=7)
         want = ref_unblocked_group_statistics(groups, pairs_per_group, seed=7)
-        for field in ("gap_length", "gap_direction", "noise_mean", "noise_direction",
-                      "n_groups", "group_size", "skipped_zero_pairs"):
+        for field in ("gap_length", "gap_direction", "gap_orthogonality", "noise_mean",
+                      "noise_direction", "n_groups", "group_size", "skipped_zero_pairs"):
             assert getattr(got, field) == getattr(want, field), field
-        if rows is None:
-            assert got.gap_orthogonality == want.gap_orthogonality
-        else:
-            # The BLAS mat-vec r @ d_i rounds a row by its place in the call:
-            # OpenBLAS sums rows outside its 4-row kernel in another order, so
-            # blocks that regroup the rows move the statistic by rounding.
-            assert np.abs(np.subtract(got.gap_orthogonality,
-                                      want.gap_orthogonality)).max() <= 1e-15
 
     @pytest.mark.parametrize("rows", [None, 1])
     @pytest.mark.parametrize("cfg,partly_dead", [
