@@ -13,6 +13,14 @@ Two interchange formats:
 Matrices are stored in 32-bit floats in MMEB (the common export precision
 for embedding dumps) and computed on in 64-bit; CSV carries full float64.
 All writes go through a temp file and an atomic rename.
+
+MMEB files are streamed one ``linalg._row_blocks`` block of rows at a time.
+A write converts and writes one float32 block after the header; a read
+checks the header against the file size before it allocates anything, then
+reads each block into one reusable float32 buffer and converts it into the
+float64 result, checking finiteness as it goes. Neither holds a full-size
+copy of the payload, and the bytes and values are those of a whole-matrix
+conversion.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .linalg import EmbeddingMatrix, as_array
+from .linalg import EmbeddingMatrix, _first_nonfinite, _row_blocks, as_array
 
 __all__ = [
     "EmbeddingFileError",
@@ -67,19 +75,24 @@ class RaggedCsvError(EmbeddingFileError):
     """CSV rows with inconsistent column counts."""
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, data) -> None:
     """Write ``data`` to ``path`` through a temp file renamed into place.
 
-    Shared by every file the package writes (matrices and CLI reports). The
-    temp file is created with mode 0o666, so the process umask decides the
-    final permissions as it would for a plain ``open``.
+    ``data`` is bytes or an iterable of byte-like chunks (bytes, or
+    C-contiguous arrays), written in order; a chunked writer never holds the
+    whole file. Shared by every file the package writes (matrices and CLI
+    reports). If writing or producing a chunk fails, the temp file is
+    removed and ``path`` is left as it was. The temp file is created with
+    mode 0o666, so the process umask decides the final permissions as it
+    would for a plain ``open``.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp-{os.getpid()}-{os.urandom(4).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,44 +100,56 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _check_finite(values: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        raise NonFiniteValueError(f"non-finite value at row {r}, col {c}")
+def _check_finite(values: np.ndarray, row0: int = 0) -> None:
+    """Raise NonFiniteValueError at the first NaN or infinity of ``values``,
+    whose first row is row ``row0`` of the matrix."""
+    at = _first_nonfinite(values)
+    if at is not None:
+        raise NonFiniteValueError(f"non-finite value at row {row0 + at[0]}, col {at[1]}")
 
 
 def write_mmeb(matrix, path: str) -> None:
     """Write a matrix as MMEB (float32 payload, atomic)."""
     values = as_array(matrix)
     _check_finite(values)
-    payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
-    header = _HEADER.pack(MAGIC, VERSION, values.shape[0], values.shape[1], DTYPE_FLOAT32)
-    _atomic_write(path, header + payload)
+
+    def chunks():
+        yield _HEADER.pack(MAGIC, VERSION, values.shape[0], values.shape[1], DTYPE_FLOAT32)
+        for blk in _row_blocks(*values.shape):
+            yield np.ascontiguousarray(values[blk], dtype="<f4")
+
+    _atomic_write(path, chunks())
 
 
 def read_mmeb(path: str) -> EmbeddingMatrix:
     """Read an MMEB file back into a float64 EmbeddingMatrix."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise TruncatedPayloadError(
-            f"file holds {len(blob)} bytes, shorter than the {_HEADER.size}-byte header"
-        )
-    magic, version, rows, cols, dtype = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}, expected {VERSION}")
-    if dtype != DTYPE_FLOAT32:
-        raise FormatError(f"unknown dtype tag {dtype}, expected {DTYPE_FLOAT32}")
-    expected = rows * cols * 4
-    actual = len(blob) - _HEADER.size
-    if actual != expected:
-        raise TruncatedPayloadError(f"payload holds {actual} bytes, expected {expected}")
-    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
-    values = values.astype(np.float64)
-    _check_finite(values)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise TruncatedPayloadError(
+                f"file holds {size} bytes, shorter than the {_HEADER.size}-byte header"
+            )
+        magic, version, rows, cols, dtype = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}, expected {VERSION}")
+        if dtype != DTYPE_FLOAT32:
+            raise FormatError(f"unknown dtype tag {dtype}, expected {DTYPE_FLOAT32}")
+        expected = rows * cols * 4
+        actual = size - _HEADER.size
+        if actual != expected:
+            raise TruncatedPayloadError(f"payload holds {actual} bytes, expected {expected}")
+        values = np.empty((rows, cols))
+        if values.size:  # else EmbeddingMatrix rejects the empty shape below
+            buf = np.empty_like(values[next(_row_blocks(rows, cols))], dtype="<f4")
+            for blk in _row_blocks(rows, cols):
+                out = values[blk]
+                part = buf[: out.shape[0]]
+                if fh.readinto(part) != part.nbytes:
+                    raise TruncatedPayloadError(f"payload shrank while read, at row {blk.start}")
+                out[...] = part
+                _check_finite(out, blk.start)
     return EmbeddingMatrix(values)
 
 

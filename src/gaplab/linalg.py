@@ -57,10 +57,14 @@ class EmbeddingMatrix:
         a = np.asarray(self.values, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"embedding matrix must be n x d with n,d >= 1, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        # Both checks scan one row block at a time: no n x d temporaries.
+        if _first_nonfinite(a) is not None:
             raise ValueError("embedding matrix contains non-finite values")
         if self.unit_norm:
-            _check_unit_norms(np.linalg.norm(a, axis=1))
+            norms = np.empty(a.shape[0])
+            for blk in _row_blocks(*a.shape):
+                norms[blk] = np.linalg.norm(a[blk], axis=1)
+            _check_unit_norms(norms)
         object.__setattr__(self, "values", a)
 
     @property
@@ -237,15 +241,31 @@ def _index_pairs(rng: np.random.Generator, n: int, wanted: int) -> tuple[np.ndar
 
 def _row_blocks(n: int, d: int):
     """Consecutive slices of ``range(n)``, each ``_BLOCK_BYTES`` of float64
-    rows of width ``d`` long (at least one row)."""
-    step = max(1, _BLOCK_BYTES // (8 * d))
+    rows of width ``d`` long (at least one row; rows of width 0 count as
+    width 1)."""
+    step = max(1, _BLOCK_BYTES // (8 * max(d, 1)))
     return (slice(s, s + step) for s in range(0, n, step))
 
 
+def _first_nonfinite(a: np.ndarray) -> tuple[int, int] | None:
+    """Row and column of the first NaN or infinity of ``a`` in row-major
+    order, or None. The rows are scanned one ``_row_blocks`` block at a
+    time, so the finiteness mask stays block-sized."""
+    for blk in _row_blocks(*a.shape):
+        finite = np.isfinite(a[blk])
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            return blk.start + int(r), int(c)
+    return None
+
+
 def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
-                  tol: float = 0.0) -> tuple[np.ndarray, int]:
+                  tol: float = 0.0, norms: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Cosines of the row pairs (j, k) clamped to [-1, 1], and the number of
     pairs skipped because one of their rows has norm <= ``tol``.
+
+    ``norms`` are the rows' L2 norms, ``np.linalg.norm(rows, axis=1)``, when
+    the caller already has them.
 
     The rows of a pair are gathered one ``_row_blocks`` block of pairs at a
     time, so the gathered copies stay cache-sized instead of growing with
@@ -254,7 +274,8 @@ def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
     how many rows share the call: the result equals one unblocked gather's,
     bit for bit.
     """
-    norms = np.linalg.norm(rows, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(rows, axis=1)
     ok = (norms[j] > tol) & (norms[k] > tol)
     j, k = j[ok], k[ok]
     dots = np.empty(j.size)
@@ -277,8 +298,10 @@ def mean_pairwise_cosine(
     n = a.shape[0]
     if n < 2:
         raise ValueError(f"pairwise cosine needs at least 2 rows, got {n}")
-    zero = np.flatnonzero(np.linalg.norm(a, axis=1) == 0.0)
+    norms = np.linalg.norm(a, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero row at index {zero[0]}")
-    vals, _ = _pair_cosines(a, *_index_pairs(np.random.default_rng(seed), n, max_pairs))
+    vals, _ = _pair_cosines(a, *_index_pairs(np.random.default_rng(seed), n, max_pairs),
+                            norms=norms)
     return float(vals.mean()), float(vals.std())

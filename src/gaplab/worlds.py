@@ -25,10 +25,12 @@ from .linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
     SpectralSummary,
+    _index_pairs,
     _orthonormal_columns,
+    _pair_cosines,
+    _row_blocks,
     covariance,
     l2_normalize_rows,
-    mean_pairwise_cosine,
     spectral_summary,
 )
 
@@ -78,6 +80,14 @@ def make_gap_world(
     noise_mode : {"full", "span"}
         Whether the alignment noise is isotropic over all of R^d or has its
         out-of-span components removed.
+
+    x is built as ``(y + gap) + eps`` in place. Full-mode noise is drawn and
+    added one ``_row_blocks`` block at a time: the generator continues one
+    stream, so the blocks draw the numbers of one (n, d) draw and x keeps
+    its bits, without an n x d noise array. Span-mode noise stays one
+    unblocked draw and projection, because OpenBLAS rounds a row of
+    ``(eps @ basis) @ basis.T`` by its place in the call, so a blocked
+    projection would move bits.
     """
     if not (1 <= span_dim <= d):
         raise ValueError(f"span_dim must be in [1, {d}], got {span_dim}")
@@ -97,11 +107,17 @@ def make_gap_world(
     coeffs = rng.standard_normal((n, span_dim))
     coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
     y = coeffs @ basis.T
+    del coeffs  # freed before x is built
 
-    eps = sigma * rng.standard_normal((n, d))
+    x = np.add(y, gap)
     if noise_mode == "span":
-        eps = (eps @ basis) @ basis.T
-    x = y + gap + eps
+        x += ((sigma * rng.standard_normal((n, d))) @ basis) @ basis.T
+    else:
+        for blk in _row_blocks(n, d):
+            rows = x[blk]
+            eps = rng.standard_normal(rows.shape)
+            eps *= sigma
+            rows += eps
 
     pairs = PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y, unit_norm=True))
     return GapWorld(pairs=pairs, true_gap=gap, span_basis=basis)
@@ -217,9 +233,17 @@ class MlpProbe:
 
 def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
     c = covariance(h)
-    alive = np.linalg.norm(h, axis=1) > 0.0
-    live = h if alive.all() else h[alive]
-    cone = mean_pairwise_cosine(live, seed=seed) if live.shape[0] >= 2 else (0.0, 0.0)
+    # mean_pairwise_cosine(live, seed=seed) bit for bit, with the row norms
+    # taken once for the live-row test and the cosines. Dropping the dead
+    # rows stands in for its zero-row check; 10,000 is its pair budget.
+    norms = np.linalg.norm(h, axis=1)
+    alive = norms > 0.0
+    live, norms = (h, norms) if alive.all() else (h[alive], norms[alive])
+    cone = (0.0, 0.0)
+    if live.shape[0] >= 2:
+        pairs = _index_pairs(np.random.default_rng(seed), live.shape[0], 10_000)
+        vals, _ = _pair_cosines(live, *pairs, norms=norms)
+        cone = (float(vals.mean()), float(vals.std()))
     if float(np.abs(c).sum()) == 0.0:
         # Total die-off (or exactly constant features): no spectrum to report.
         return MlpProbe(layer=layer, summary=None, effective_dim=0,

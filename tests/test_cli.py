@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from gaplab import cli, contrastive
 from gaplab.contrastive import ContrastiveBatch, loss_bound_check
 from gaplab.cli import main, resolve_config
-from gaplab.embio import read_csv, write_mmeb
+from gaplab.embio import DTYPE_FLOAT32, MAGIC, VERSION, read_csv, write_mmeb
 from gaplab.linalg import PairedEmbeddings, l2_normalize_rows
 
 
@@ -109,6 +110,14 @@ class TestConfigTypes:
         # dex + dey = d leaves no shared constant dimension to mask
         err = exits_2_with_one_line(capsys, tmp_path, "train-sim", {"dex": 25, "dey": 487})
         assert "masked_dims must be a non-empty 1-d array" in err
+
+    def test_mmeb_header_promising_2_40_rows_exits_2(self, capsys, tmp_path):
+        # the payload size is checked before anything is allocated
+        x = tmp_path / "x.mmeb"
+        x.write_bytes(struct.pack("<4sIQQI", MAGIC, VERSION, 2**40, 512, DTYPE_FLOAT32))
+        err = exits_2_with_one_line(capsys, tmp_path, "gap-stats",
+                                    {"x_file": str(x), "y_file": str(x)})
+        assert f"payload holds 0 bytes, expected {2**40 * 512 * 4}" in err
 
     def test_nan_never_reaches_a_report(self, tmp_path):
         with pytest.raises(ValueError):
