@@ -20,11 +20,11 @@ all: a strictly linear readout is provably blind to any constant shift
 orthogonal to its training span, so without the normalization every
 variant would score identically.
 
-Classification tasks decode by regressing the class code vector and
-assigning the nearest code; the codes are laid out with unequal norms
-along partially shared rays so that shrinking predictions (the signature
-of an unhandled modality gap after normalization) degrades accuracy
-smoothly rather than not at all.
+Every toy task is a classification task: the decoder regresses the class
+code vector and assigns the nearest code. The codes are laid out with
+unequal norms along partially shared rays so that shrinking predictions
+(the signature of an unhandled modality gap after normalization) degrades
+accuracy smoothly rather than not at all.
 """
 
 from __future__ import annotations
@@ -63,13 +63,13 @@ _VARIANTS = {
 VARIANTS = tuple(_VARIANTS)
 SIGMA_GRID = (0.01, 0.05, 0.1, 0.2)
 
-# Class-code layout (classification tasks). Victim codes sit far from the
-# code mean; each rival code sits partway down its victim's shrink path
-# (prediction-space ray toward the mean) with a small off-path offset, so a
-# shrunken prediction of the victim lands on the rival. The hub class sits
-# at the code mean and catches everything once predictions shrink far
-# enough. A norm-equalizing padding coordinate keeps the embedded
-# prototypes on a common sphere so shrinkage acts uniformly across classes.
+# Class-code layout. Victim codes sit far from the code mean; each rival
+# code sits partway down its victim's shrink path (prediction-space ray
+# toward the mean) with a small off-path offset, so a shrunken prediction
+# of the victim lands on the rival. The hub class sits at the code mean and
+# catches everything once predictions shrink far enough. A norm-equalizing
+# padding coordinate keeps the embedded prototypes on a common sphere so
+# shrinkage acts uniformly across classes.
 _PATH_FRACTIONS = (0.58, 0.64, 0.70, 0.78)
 _PATH_OFFSET = 0.24
 _VICTIM_NORM = 1.25
@@ -82,35 +82,31 @@ _PAD_MARGIN = 0.15
 
 @dataclass(frozen=True)
 class LatentSpec:
-    """What the decoder has to recover: K classes or an m-dimensional target."""
+    """What the decoder has to recover: one of ``size`` classes."""
 
     kind: str = "classification"
     size: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("classification", "regression"):
+        if self.kind != "classification":
             raise ValueError(f"unknown latent kind {self.kind!r}")
-        if self.kind == "classification" and self.size < 4:
+        if self.size < 4:
             raise ValueError("classification tasks need at least 4 classes")
-        if self.kind == "regression" and self.size < 1:
-            raise ValueError("regression tasks need at least 1 target dimension")
 
 
 @dataclass(frozen=True)
 class ToyTask:
-    """Paired embeddings encoding a recoverable latent plus gap geometry.
+    """Paired embeddings encoding a class label plus gap geometry.
 
-    ``targets`` holds the decoder's regression targets (class codes for
-    classification tasks); ``labels`` is None for regression tasks.
-    ``pairs.x`` rows are y rows plus the gap and alignment noise, left
-    unnormalized so the construction is exact.
+    ``targets`` holds the decoder's regression targets, the class code of
+    every row (``codes[labels]``). ``pairs.x`` rows are y rows plus the gap
+    and alignment noise, left unnormalized so the construction is exact.
     """
 
     pairs: PairedEmbeddings
-    latent_spec: LatentSpec
     targets: np.ndarray
-    labels: np.ndarray | None
-    codes: np.ndarray | None
+    labels: np.ndarray
+    codes: np.ndarray
     span_basis: np.ndarray
     gap_direction: np.ndarray | None
     train_idx: np.ndarray
@@ -150,7 +146,7 @@ def make_toy_task(
     """Generate a transfer task with known gap-plus-noise geometry.
 
     The y side is unit-norm inside a ``span_dim``-dimensional subspace and
-    linearly encodes the latent; the x side is y plus a constant gap along
+    encodes the class label; the x side is y plus a constant gap along
     a direction orthogonal to the span plus isotropic alignment noise.
     Rows are split half/half into a train set (y side used) and a test set
     (x side used). Deterministic per seed.
@@ -167,38 +163,20 @@ def make_toy_task(
     basis = q[:, :span_dim]
     gap_dir = q[:, span_dim] if span_dim < d else None
 
-    if latent.kind == "classification":
-        codes = _class_codes(rng, latent.size)
-        m = codes.shape[1]
-        if m + 1 >= span_dim:
-            raise ValueError(f"span_dim={span_dim} too small for {latent.size} classes (need > {m + 1})")
-        norms = np.linalg.norm(codes, axis=1)
-        top = norms.max() * (1.0 + _PAD_MARGIN)
-        pad = np.sqrt(top**2 - norms**2)
-        prototypes = np.hstack([codes, pad[:, None]])
-        labels = rng.integers(0, latent.size, size=n)
-        lat = prototypes[labels] + _CLASS_JITTER * rng.standard_normal((n, m + 1))
-        targets = codes[labels]
-        used = m + 1
-    else:
-        m = latent.size
-        if m >= span_dim:
-            raise ValueError(f"span_dim={span_dim} too small for {m} regression targets")
-        lat = rng.standard_normal((n, m))
-        targets = lat.copy()
-        labels = None
-        codes = None
-        used = m
+    codes = _class_codes(rng, latent.size)
+    m = codes.shape[1]
+    if m + 1 >= span_dim:
+        raise ValueError(f"span_dim={span_dim} too small for {latent.size} classes (need > {m + 1})")
+    norms = np.linalg.norm(codes, axis=1)
+    top = norms.max() * (1.0 + _PAD_MARGIN)
+    pad = np.sqrt(top**2 - norms**2)
+    prototypes = np.hstack([codes, pad[:, None]])
+    labels = rng.integers(0, latent.size, size=n)
+    lat = prototypes[labels] + _CLASS_JITTER * rng.standard_normal((n, m + 1))
 
-    nuis = _NUISANCE_SCALE * rng.standard_normal((n, span_dim - used))
-    coeffs = np.hstack([lat, nuis])
-    if latent.kind == "classification":
-        # contrastive-style unit embeddings; the norm-equalizing padding
-        # keeps the class prototypes on one sphere
-        y = l2_normalize_rows(coeffs @ basis.T)
-    else:
-        # keep the embedding linear so the targets stay exactly recoverable
-        y = EmbeddingMatrix(coeffs @ basis.T)
+    nuis = _NUISANCE_SCALE * rng.standard_normal((n, span_dim - (m + 1)))
+    # contrastive-style unit embeddings
+    y = l2_normalize_rows(np.hstack([lat, nuis]) @ basis.T)
     x = y.values + sigma_align * rng.standard_normal((n, d))
     if gap_norm > 0:
         x = x + gap_norm * gap_dir
@@ -207,8 +185,7 @@ def make_toy_task(
     half = n // 2
     return ToyTask(
         pairs=PairedEmbeddings(x=EmbeddingMatrix(x), y=y),
-        latent_spec=latent,
-        targets=targets,
+        targets=codes[labels],
         labels=labels,
         codes=codes,
         span_basis=basis,
@@ -256,31 +233,21 @@ def _variant(name: str) -> tuple[bool, str | None]:
     return _VARIANTS[name]
 
 
-def _decode_inputs(task: ToyTask, rows: np.ndarray) -> np.ndarray:
-    # Unit-normalizing the decoder input is the contrastive-consumer
-    # convention and only applies to unit-norm (classification) tasks;
-    # regression tasks keep the linear pipeline end to end.
-    if task.latent_spec.kind == "classification":
-        return l2_normalize_rows(rows).values
-    return np.asarray(rows, dtype=np.float64)
+def _decode_inputs(rows: np.ndarray) -> np.ndarray:
+    # the contrastive-consumer convention: the decoder sees unit rows
+    return l2_normalize_rows(rows).values
 
 
-def _nearest_code(pred: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    d2 = ((pred[:, None, :] - codes[None, :, :]) ** 2).sum(axis=-1)
-    return d2.argmin(axis=1)
-
-
-def _metric(task: ToyTask, pred: np.ndarray, idx: np.ndarray) -> float:
-    if task.latent_spec.kind == "classification":
-        guess = _nearest_code(pred, task.codes)
-        return float((guess == task.labels[idx]).mean())
-    return float(((pred - task.targets[idx]) ** 2).mean())
+def _metric(task: ToyTask, pred: np.ndarray) -> float:
+    """Nearest-code accuracy of ``pred``, the predictions for the test rows."""
+    d2 = ((pred[:, None, :] - task.codes[None, :, :]) ** 2).sum(axis=-1)
+    return float((d2.argmin(axis=1) == task.labels[task.test_idx]).mean())
 
 
 def _score(task: ToyTask, train_rows: np.ndarray, test_inputs: np.ndarray, lam: float) -> float:
     """Fit the decoder on ``train_rows`` and score it on decoded test rows."""
-    decoder = train_decoder(_decode_inputs(task, train_rows), task.targets[task.train_idx], lam)
-    return _metric(task, decoder.predict(test_inputs), task.test_idx)
+    decoder = train_decoder(_decode_inputs(train_rows), task.targets[task.train_idx], lam)
+    return _metric(task, decoder.predict(test_inputs))
 
 
 def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[float]:
@@ -297,7 +264,7 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
     y_train = task.pairs.y.values[task.train_idx]
     x_test = task.pairs.x.values[task.test_idx]
     train_base = {c: collapse(y_train, y_train.mean(axis=0)) if c else y_train for c in sides}
-    test_inputs = {c: _decode_inputs(task, collapse(x_test, x_test.mean(axis=0)) if c else x_test)
+    test_inputs = {c: _decode_inputs(collapse(x_test, x_test.mean(axis=0)) if c else x_test)
                    for c in sides}
     unit = None
     scores = []
@@ -322,8 +289,8 @@ def evaluate_crossmodal(
     noise_seed: int = 0,
 ) -> float:
     """Train on transformed y rows, evaluate on x rows through the variant's
-    test transform. Returns accuracy (classification) or MSE (regression).
-    Variants without a corruption stage ignore ``train_sigma``.
+    test transform; return the nearest-code accuracy. Variants without a
+    corruption stage ignore ``train_sigma``.
     """
     return _seed_scores(task, [(variant, train_sigma)], lam, noise_seed)[0]
 
@@ -331,7 +298,7 @@ def evaluate_crossmodal(
 def in_modality_metric(task: ToyTask, lam: float = 1e-3) -> float:
     """Train on x-side train rows, test on x-side test rows (no transfer)."""
     x = task.pairs.x.values
-    return _score(task, x[task.train_idx], _decode_inputs(task, x[task.test_idx]), lam)
+    return _score(task, x[task.train_idx], _decode_inputs(x[task.test_idx]), lam)
 
 
 @dataclass(frozen=True)
@@ -355,8 +322,8 @@ def run_ablation(
     """Evaluate every variant over seeds, sweeping the training noise level.
 
     Variants without a corruption stage ignore the sweep. For each variant
-    the grid entry with the best seed-mean metric is reported (highest
-    accuracy; lowest MSE for regression tasks).
+    the grid entry with the highest seed-mean accuracy is reported (the
+    first such entry on a tie).
 
     Seeds form the outer loop, so one task is alive at a time, and each
     seed's cells are scored by one ``_seed_scores`` call with noise seed
@@ -374,7 +341,6 @@ def run_ablation(
         task = make_toy_task(seed=s, **task_kwargs)
         per_seed.append(_seed_scores(task, cells, lam, 1000 + s))
 
-    higher_better = task.latent_spec.kind == "classification"
     columns = iter(zip(*per_seed))  # per cell, its metric at every seed
     rows = []
     for variant, grid in plan:
@@ -382,8 +348,7 @@ def run_ablation(
         for sigma in grid:
             seed_vals = np.array(next(columns))
             mean = float(seed_vals.mean())
-            better = best is None or (mean > best[1] if higher_better else mean < best[1])
-            if better:
+            if best is None or mean > best[1]:
                 best = (sigma, mean, float(seed_vals.std()))
         rows.append(AblationRow(variant=variant, train_sigma=best[0],
                                 mean=best[1], std=best[2], seeds=len(seeds)))
@@ -417,11 +382,7 @@ def gap_shift_sweep(
         raise ValueError(f"unknown shift_mode {shift_mode!r}")
 
     y_train = task.pairs.y.values[task.train_idx]
-    decoder = train_decoder(_decode_inputs(task, y_train), task.targets[task.train_idx], lam)
+    decoder = train_decoder(_decode_inputs(y_train), task.targets[task.train_idx], lam)
     x_test = task.pairs.x.values[task.test_idx]
-
-    curve = []
-    for c in norms:
-        pred = decoder.predict(_decode_inputs(task, x_test + c * direction))
-        curve.append((c, _metric(task, pred, task.test_idx)))
-    return curve
+    return [(c, _metric(task, decoder.predict(_decode_inputs(x_test + c * direction))))
+            for c in norms]

@@ -201,10 +201,6 @@ def _cmd_simulate_init(p):
 
 
 def _cmd_train_sim(p):
-    long_running = p["long_running"]
-    if long_running:
-        p = dict(p, n=1000, steps=200000, renormalize_each_step=True,
-                 gradient_form="exact", init="unit")
     w = worlds.make_collapsed_init_world(p["n"], p["d"], p["dex"], p["dey"], p["seed"])
     init = w.pairs if p["init"] == "unit" else PairedEmbeddings(
         x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
@@ -233,7 +229,7 @@ def _cmd_train_sim(p):
     }
     if p["gradient_form"] == "span":
         checks["masked_grad_exactly_zero"] = results["max_masked_grad"] == 0.0
-    if long_running:
+    if p["long_running"]:
         checks["masked_gap_near_0.82"] = abs(traj[-1].gap_masked - 0.82) <= 0.1
     else:
         checks["final_loss_below_0.01"] = losses[-1] < 0.01
@@ -435,7 +431,11 @@ class _Command(NamedTuple):
     choices: dict = {}  # string keys and the values each may take
 
 
-_FORMATS = ("mmeb", "csv")
+_FORMATS = tuple(embio._FORMATS)
+
+# what a true ``long_running`` puts over train-sim's defaults: the full-scale run
+_LONG_RUNNING = {"n": 1000, "steps": 200000, "renormalize_each_step": True,
+                 "gradient_form": "exact", "init": "unit"}
 
 _COMMANDS = {
     "simulate-init": _Command(_cmd_simulate_init, {
@@ -511,15 +511,22 @@ def _check_config(command: str, params: dict) -> None:
                              f"{', '.join(choices[key])}, got {params[key]!r}")
 
 
-def resolve_config(command: str, config_path: str | None, seed: int | None) -> dict:
-    """Defaults, overridden by the JSON config file, overridden by --seed."""
+def resolve_config(command: str, config_path: str | None, seed: int | None,
+                   long_running: bool = False) -> dict:
+    """Defaults (with ``_LONG_RUNNING`` over them when the flag or the file sets
+    ``long_running``), overridden by the JSON config file, overridden by --seed."""
     params = dict(_COMMANDS[command].defaults)
+    loaded = {}
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
-        params.update(loaded)
+    if long_running:
+        loaded["long_running"] = True
+    if "long_running" in params and loaded.get("long_running") is True:
+        params.update(_LONG_RUNNING)
+    params.update(loaded)
     if seed is not None:
         params["seed"] = seed
     _check_config(command, params)
@@ -549,9 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        params = resolve_config(args.command, args.config, args.seed)
-        if args.long_running:
-            params["long_running"] = True
+        params = resolve_config(args.command, args.config, args.seed, args.long_running)
         ok = run_command(args.command, params, args.out, args.format)
     except (ValueError, OSError, embio.EmbeddingFileError) as exc:
         print(f"gaplab {args.command}: error: {exc}", file=sys.stderr)

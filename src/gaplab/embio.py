@@ -154,11 +154,14 @@ def read_mmeb(path: str) -> EmbeddingMatrix:
 
 
 def write_csv(matrix, path: str) -> None:
-    """Write a matrix as CSV with 17-significant-digit decimal values."""
+    """Write a matrix as CSV with 17-significant-digit decimal values, one
+    ``_row_blocks`` block of lines at a time (no rows: one empty line)."""
     values = as_array(matrix)
     _check_finite(values)
-    lines = [",".join(f"{v:.17g}" for v in row) for row in values]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    blocks = ("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                      for row in values[blk]).encode("ascii")
+              for blk in _row_blocks(*values.shape))
+    _atomic_write(path, blocks if len(values) else b"\n")
 
 
 def _parse_csv_row(line: str):
@@ -193,20 +196,19 @@ def read_csv(path: str) -> EmbeddingMatrix:
     return EmbeddingMatrix(values)
 
 
+# embedding file format name -> (reader, writer)
+_FORMATS = {"mmeb": (read_mmeb, write_mmeb), "csv": (read_csv, write_csv)}
+
+
 def ingest(path: str, format: str) -> EmbeddingMatrix:
     """Load an embedding matrix from ``path`` in the named format."""
-    if format == "mmeb":
-        return read_mmeb(path)
-    if format == "csv":
-        return read_csv(path)
-    raise ValueError(f"unknown embedding file format {format!r}")
+    if format not in _FORMATS:
+        raise ValueError(f"unknown embedding file format {format!r}")
+    return _FORMATS[format][0](path)
 
 
 def export(matrix, path: str, format: str) -> None:
     """Write an embedding matrix to ``path`` in the named format."""
-    if format == "mmeb":
-        write_mmeb(matrix, path)
-    elif format == "csv":
-        write_csv(matrix, path)
-    else:
+    if format not in _FORMATS:
         raise ValueError(f"unknown embedding file format {format!r}")
+    _FORMATS[format][1](matrix, path)

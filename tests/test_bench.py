@@ -7,7 +7,6 @@ from gaplab import bench, c3
 from gaplab.bench import (
     VARIANTS,
     AblationRow,
-    LatentSpec,
     evaluate_crossmodal,
     gap_shift_sweep,
     in_modality_metric,
@@ -19,8 +18,6 @@ from gaplab.c3 import C3Config, collapse, corrupt
 from gaplab.linalg import l2_normalize_rows
 
 STANDARD = dict(n=5000, d=64, gap_norm=0.83, sigma_align=0.05, span_dim=16)
-REGRESSION = dict(n=1000, d=32, gap_norm=0.3, sigma_align=0.05, span_dim=16,
-                  latent=LatentSpec("regression", 4))
 
 
 def ref_evaluate(task, variant, sigma, lam, noise_seed):
@@ -29,8 +26,8 @@ def ref_evaluate(task, variant, sigma, lam, noise_seed):
     Each cell resolves its own stages and draws fresh noise through
     ``corrupt``: collapse (c21, c3) then corrupt (c22, c22_span, c3) the
     train rows, collapse the test rows with their own mean when the train
-    side is collapsed, unit-normalize both for classification, fit the
-    ridge decoder and score by nearest code or MSE.
+    side is collapsed, unit-normalize both, fit the ridge decoder and score
+    by nearest code.
     """
     collapsing = variant in ("c21", "c3")
     span = variant == "c22_span"
@@ -42,15 +39,11 @@ def ref_evaluate(task, variant, sigma, lam, noise_seed):
                        gap_direction=task.gap_direction if span else None, seed=noise_seed)
         train_rows = corrupt(train_rows, cfg)
     test_rows = collapse(x_test, x_test.mean(axis=0)) if collapsing else x_test
-    classify = task.latent_spec.kind == "classification"
-    if classify:
-        train_rows = l2_normalize_rows(train_rows).values
-        test_rows = l2_normalize_rows(test_rows).values
+    train_rows = l2_normalize_rows(train_rows).values
+    test_rows = l2_normalize_rows(test_rows).values
     pred = train_decoder(train_rows, task.targets[task.train_idx], lam).predict(test_rows)
-    if classify:
-        guess = ((pred[:, None, :] - task.codes[None, :, :]) ** 2).sum(axis=-1).argmin(axis=1)
-        return float((guess == task.labels[task.test_idx]).mean())
-    return float(((pred - task.targets[task.test_idx]) ** 2).mean())
+    guess = ((pred[:, None, :] - task.codes[None, :, :]) ** 2).sum(axis=-1).argmin(axis=1)
+    return float((guess == task.labels[task.test_idx]).mean())
 
 
 def gradient_descent_ridge(x, t, lam, steps=60_000, lr=None):
@@ -90,13 +83,14 @@ class TestToyTask:
         for seed in range(3):
             assert in_modality_metric(make_toy_task(seed=seed, **STANDARD)) >= 0.99
 
-    def test_latent_recoverable_without_noise(self):
-        t = make_toy_task(n=1000, d=32, gap_norm=0.0, sigma_align=0.0, seed=2,
-                          span_dim=16, latent=LatentSpec("regression", 4))
-        x = t.pairs.y.values[t.train_idx]
-        dec = train_decoder(x, t.targets[t.train_idx], lam=1e-8)
-        pred = dec.predict(t.pairs.y.values[t.test_idx])
-        assert ((pred - t.targets[t.test_idx]) ** 2).mean() < 1e-6
+    def test_targets_are_class_codes(self):
+        t = make_toy_task(n=200, d=32, seed=2, span_dim=16)
+        assert (t.targets == t.codes[t.labels]).all()
+
+    @pytest.mark.parametrize("latent", [("regression", 4), ("classification", 3)])
+    def test_only_classification_latents(self, latent):
+        with pytest.raises(ValueError, match="latent kind|4 classes"):
+            bench.LatentSpec(*latent)
 
     def test_gap_needs_orthogonal_room(self):
         with pytest.raises(ValueError, match="span_dim"):
@@ -138,6 +132,18 @@ class TestRidgeDecoder:
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-10)
         np.testing.assert_allclose(a.bias, b.bias, atol=1e-10)
 
+    def test_linear_readout_blind_to_orthogonal_shift(self):
+        # why decoder inputs are unit-normalized: a ridge map fitted on rows
+        # inside the span maps any shift orthogonal to it to nothing
+        t = make_toy_task(seed=6, **STANDARD)
+        dec = train_decoder(t.pairs.y.values[t.train_idx], t.targets[t.train_idx])
+        x_test = t.pairs.x.values[t.test_idx]
+        pred = dec.predict(x_test)
+        scale = np.abs(pred).max()
+        for c in (0.5, 2.0):
+            shifted = dec.predict(x_test + c * t.gap_direction)
+            assert np.abs(shifted - pred).max() <= 1e-9 * scale
+
     def test_zero_penalty_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             train_decoder(np.ones((3, 2)), np.ones((3, 1)), lam=0.0)
@@ -175,18 +181,6 @@ class TestEvaluate:
             for variant in ("c1", "c21", "c22", "c22_span", "c3"):
                 assert own >= evaluate_crossmodal(t, variant, 0.05, noise_seed=100 + seed)
 
-    def test_regression_pipeline_blind_to_orthogonal_gap(self):
-        # a fully linear decode path provably ignores constant shifts
-        # orthogonal to its training span, so the raw variant already wins
-        gapped = make_toy_task(n=1000, d=32, gap_norm=0.3, sigma_align=0.05, seed=6,
-                               span_dim=16, latent=LatentSpec("regression", 4))
-        clean = make_toy_task(n=1000, d=32, gap_norm=0.0, sigma_align=0.05, seed=6,
-                              span_dim=16, latent=LatentSpec("regression", 4))
-        mse_gapped = evaluate_crossmodal(gapped, "c1", 0.0)
-        mse_clean = evaluate_crossmodal(clean, "c1", 0.0)
-        assert mse_gapped == pytest.approx(mse_clean, rel=0.05)
-        assert mse_gapped < 0.05
-
 
 class TestAblation:
     def test_ordering_and_sigma_sweep(self):
@@ -198,27 +192,14 @@ class TestAblation:
         assert by["c1"].train_sigma == 0.0  # sweep only touches corrupting variants
         assert by["c22"].train_sigma in (0.01, 0.05, 0.1, 0.2)
 
-    def test_regression_sweep_minimizes(self):
-        rows = run_ablation(task_kwargs=REGRESSION, seeds=(0, 1), sigma_grid=(0.01, 0.1))
-        by = {r.variant: r for r in rows}
-        assert all(r.mean > 0 for r in rows)
-        # training noise only costs a linear pipeline accuracy, so the sweep
-        # settles on the smallest grid entry for every corrupting variant
-        assert by["c22"].train_sigma == 0.01
-        assert by["c3"].train_sigma == 0.01
-
-    @pytest.mark.parametrize("kwargs,seeds,grid", [
-        (dict(n=600, d=32, gap_norm=0.83, sigma_align=0.05, span_dim=16), (0, 1, 2),
-         (0.01, 0.05, 0.2)),
-        (REGRESSION, (0, 1), (0.01, 0.1)),
-    ])
-    def test_bit_identical_to_reference_pipeline(self, kwargs, seeds, grid):
+    def test_bit_identical_to_reference_pipeline(self):
+        kwargs = dict(n=600, d=32, gap_norm=0.83, sigma_align=0.05, span_dim=16)
+        seeds, grid = (0, 1, 2), (0.01, 0.05, 0.2)
         tasks = [make_toy_task(seed=s, **kwargs) for s in seeds]
         for variant in VARIANTS:
             for sigma in (0.0,) + grid:
                 assert evaluate_crossmodal(tasks[0], variant, sigma, 1e-3, noise_seed=7) == \
                     ref_evaluate(tasks[0], variant, sigma, 1e-3, noise_seed=7)
-        higher_better = tasks[0].latent_spec.kind == "classification"
         expected = []
         for variant in VARIANTS:
             best = None
@@ -226,7 +207,7 @@ class TestAblation:
                 vals = np.array([ref_evaluate(t, variant, sigma, 1e-3, noise_seed=1000 + s)
                                  for t, s in zip(tasks, seeds)])
                 mean = float(vals.mean())
-                if best is None or (mean > best[1] if higher_better else mean < best[1]):
+                if best is None or mean > best[1]:
                     best = (sigma, mean, float(vals.std()))
             expected.append(AblationRow(variant, best[0], best[1], best[2], len(seeds)))
         assert run_ablation(task_kwargs=kwargs, seeds=seeds, sigma_grid=grid) == expected

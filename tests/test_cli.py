@@ -195,6 +195,41 @@ class TestCommands:
         got = [[float(v) for i, v in enumerate(line.split(",")[:7]) if i != 4] for line in lines[1:]]
         assert got == expected
 
+    @pytest.mark.parametrize("config,flags,want", [
+        ({}, ["--long-running"], {"n": 1000, "steps": 200000, "init": "unit"}),
+        ({"steps": 50}, ["--long-running"], {"n": 1000, "steps": 50, "init": "unit"}),
+        ({"long_running": True, "init": "prenorm", "steps": 50}, [],
+         {"n": 1000, "steps": 50, "init": "prenorm"}),
+    ])
+    def test_long_running_echoes_the_config_it_ran(self, tmp_path, monkeypatch, config, flags,
+                                                   want):
+        seen = {}
+
+        def fake_train(init, tau, cfg, masked_dims):
+            norms = np.linalg.norm(init.x.values, axis=1)
+            seen.update(n=init.n, d=init.d, tau=tau, learning_rate=cfg.learning_rate,
+                        steps=cfg.steps, record_every=cfg.record_every,
+                        renormalize_each_step=cfg.renormalize_each_step,
+                        gradient_form=cfg.gradient_form,
+                        init="unit" if np.allclose(norms, 1.0) else "prenorm")
+            traj = [contrastive.TrainingRecord(s, loss, 1.2, 0.82, 0.0)
+                    for s, loss in ((0, 1.0), (cfg.steps, 0.5))]
+            return contrastive.TrainingResult(traj, init)
+
+        monkeypatch.setattr(cli, "train_contrastive", fake_train)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        echoed = json.loads((out / "train-sim.json").read_text())["config"]
+        assert echoed["long_running"] is True
+        assert {k: echoed[k] for k in seen} == seen
+        assert {k: seen[k] for k in want} == want
+        assert seen["renormalize_each_step"] is True and seen["gradient_form"] == "exact"
+        prefix = [line for line in (out / "train-sim.trajectory.csv").read_text().splitlines()
+                  if line.startswith("# ")]
+        assert prefix[1:] == [f"# {k}={cli._cell(v)}" for k, v in sorted(echoed.items())]
+
     def test_reports_byte_identical(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 600, "d": 64, "span_dim": 16, "group_size": 100}))

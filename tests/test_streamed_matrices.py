@@ -3,9 +3,10 @@
 whole-matrix code they replaced.
 
 The references below are that code, copied: ``make_gap_world``'s noise as
-one (n, d) draw, ``write_mmeb``'s one ``tobytes`` payload, ``read_mmeb``'s
-whole-file read and ``astype``, ``embio._check_finite``'s ``argwhere`` over
-an n x d mask and the unit-norm check's ``np.linalg.norm(a, axis=1)``.
+one (n, d) draw, ``write_mmeb``'s one ``tobytes`` payload, ``write_csv``'s
+one join of every line, ``read_mmeb``'s whole-file read and ``astype``,
+``embio._check_finite``'s ``argwhere`` over an n x d mask and the unit-norm
+check's ``np.linalg.norm(a, axis=1)``.
 Each test compares with ``==`` at the module's block size, at one row and at
 93 rows (which divides none of the row counts, so the last block is
 partial). ``TestTracedPeaks`` bounds the memory each path allocates, as
@@ -20,7 +21,7 @@ import pytest
 
 from gaplab import embio, linalg
 from gaplab.embio import (DTYPE_FLOAT32, MAGIC, VERSION, NonFiniteValueError,
-                          TruncatedPayloadError, read_mmeb, write_mmeb)
+                          TruncatedPayloadError, read_mmeb, write_csv, write_mmeb)
 from gaplab.linalg import EmbeddingMatrix, _check_unit_norms, _orthonormal_columns
 from gaplab.worlds import make_gap_world
 
@@ -56,6 +57,11 @@ def ref_gap_world_xy(n, d, span_dim, gap_norm, sigma, seed, noise_mode):
 def ref_mmeb_bytes(values):
     payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
     return ref_header(values.shape) + payload
+
+
+def ref_csv_bytes(values):
+    lines = [",".join(f"{v:.17g}" for v in row) for row in values]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def ref_header(shape):
@@ -105,6 +111,18 @@ class TestStreamedMatchesWholeMatrix:
         path = tmp_path / "m.mmeb"
         write_mmeb(m, str(path))
         assert path.read_bytes() == ref_mmeb_bytes(m)
+
+    @pytest.mark.parametrize("rows", BLOCKS)
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("n,d", [(300, 512), (200, 3), (1, 1), (0, 4)])
+    def test_write_csv_bytes(self, tmp_path, monkeypatch, rows, layout, n, d):
+        # column scales from 1e-20 to 1e20 exercise fixed and exponent notation
+        m = np.random.default_rng(n + d).standard_normal((n, d)) * np.logspace(-20, 20, d)
+        m = np.asfortranarray(m) if layout == "F" else m
+        set_block_rows(monkeypatch, rows, d)
+        path = tmp_path / "m.csv"
+        write_csv(m, str(path))
+        assert path.read_bytes() == ref_csv_bytes(m)
 
     @pytest.mark.parametrize("rows", BLOCKS)
     @pytest.mark.parametrize("n,d", [(300, 512), (200, 3), (1, 1)])
@@ -217,6 +235,13 @@ class TestTracedPeaks:
     def test_write_mmeb(self, tmp_path):
         m = float32_matrix(self.N, self.D, 4)
         _, peak = traced_peak(lambda: write_mmeb(m, str(tmp_path / "m.mmeb")))
+        assert peak <= 2 * MIB
+
+    def test_write_csv(self, tmp_path, monkeypatch):
+        # 300 rows of CSV text are about 9 MiB; a 32-row block about 1 MiB
+        set_block_rows(monkeypatch, 32, self.D)
+        m = float32_matrix(300, self.D, 7)
+        _, peak = traced_peak(lambda: write_csv(m, str(tmp_path / "m.csv")))
         assert peak <= 2 * MIB
 
     def test_read_mmeb(self, tmp_path):
