@@ -36,6 +36,7 @@ from .contrastive import (
     TrainerConfig,
     _anchor_split,
     _bound_report,
+    _forward,
     exact_gradients,
     stable_region_threshold,
     train_contrastive,
@@ -60,20 +61,11 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    return v
+def _tolist(v):
+    """``json.dumps`` hook for numpy scalars and arrays (a float64 is already a float)."""
+    if isinstance(v, (np.generic, np.ndarray)):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def write_reports(out_dir, command, config, results, checks, tables, fmt="both"):
@@ -81,17 +73,11 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
     os.makedirs(out_dir, exist_ok=True)
     passed = all(checks.values()) if checks else True
     if fmt in ("json", "both"):
-        doc = {
-            "command": command,
-            "config": _jsonable(config),
-            "results": _jsonable(results),
-            "checks": _jsonable(checks),
-            "passed": passed,
-        }
-        embio._atomic_write(
-            os.path.join(out_dir, f"{command}.json"),
-            (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8"),
-        )
+        doc = {"command": command, "config": config, "results": results,
+               "checks": checks, "passed": passed}
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_tolist)
+        embio._atomic_write(os.path.join(out_dir, f"{command}.json"),
+                            (text + "\n").encode("utf-8"))
     if fmt in ("csv", "both"):
         prefix = [f"# command={command}"]
         prefix += [f"# {k}={_cell(v)}" for k, v in sorted(config.items())]
@@ -116,31 +102,20 @@ def _random_unit_batch(rng: np.random.Generator, n: int, d: int, tau: float) -> 
 
 
 def finite_difference_gradients(batch: ContrastiveBatch, h: float = 1e-5):
-    """Central-difference gradients of the contrastive loss, entry by entry."""
-    x0 = batch.pairs.x.values
-    y0 = batch.pairs.y.values
-
-    def loss_of(x, y):
-        z = x @ y.T / batch.tau
-        m1 = z.max(axis=1)
-        m0 = z.max(axis=0)
-        lse_r = m1 + np.log(np.exp(z - m1[:, None]).sum(axis=1))
-        lse_c = m0 + np.log(np.exp(z - m0[None, :]).sum(axis=0))
-        return float(-(2.0 * np.diag(z) - lse_r - lse_c).sum() / (2.0 * x.shape[0]))
-
+    """Central-difference gradients of the contrastive loss (the one
+    ``contrastive._forward`` computes), entry by entry."""
+    xy = (batch.pairs.x.values, batch.pairs.y.values)
     grads = []
-    for base in (x0, y0):
+    for side, base in enumerate(xy):
         g = np.zeros_like(base)
-        for i in range(base.shape[0]):
-            for j in range(base.shape[1]):
-                plus = base.copy()
-                minus = base.copy()
-                plus[i, j] += h
-                minus[i, j] -= h
-                if base is x0:
-                    g[i, j] = (loss_of(plus, y0) - loss_of(minus, y0)) / (2 * h)
-                else:
-                    g[i, j] = (loss_of(x0, plus) - loss_of(x0, minus)) / (2 * h)
+        for i, j in np.ndindex(base.shape):
+            losses = []
+            for step in (h, -h):
+                moved = list(xy)
+                moved[side] = base.copy()
+                moved[side][i, j] += step
+                losses.append(_forward(*moved, batch.tau)[2])
+            g[i, j] = (losses[0] - losses[1]) / (2 * h)
         grads.append(g)
     return grads[0], grads[1]
 
@@ -558,7 +533,7 @@ def main(argv=None) -> int:
     try:
         params = resolve_config(args.command, args.config, args.seed, args.long_running)
         ok = run_command(args.command, params, args.out, args.format)
-    except (ValueError, OSError, embio.EmbeddingFileError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"gaplab {args.command}: error: {exc}", file=sys.stderr)
         return 2
     if not ok:

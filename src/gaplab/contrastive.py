@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EmbeddingMatrix, PairedEmbeddings, _normalize_rows_inplace, l2_normalize_rows
+from .linalg import (EmbeddingMatrix, PairedEmbeddings, _first_nonfinite, _normalize_rows_inplace,
+                     l2_normalize_rows)
 
 __all__ = [
     "ContrastiveBatch",
@@ -89,7 +90,7 @@ class GradientPair:
     def __post_init__(self):
         if self.grad_x.shape != self.grad_y.shape:
             raise ValueError("gradient matrices must share a shape")
-        if not (np.all(np.isfinite(self.grad_x)) and np.all(np.isfinite(self.grad_y))):
+        if _first_nonfinite(self.grad_x) is not None or _first_nonfinite(self.grad_y) is not None:
             raise ValueError("non-finite gradient")
 
 
@@ -103,8 +104,8 @@ class _Workspace:
 
     ``z`` holds the logits, then P_row, then W = P_row + P_col; ``p_col``
     holds P_col; ``scratch`` holds one n x d intermediate at a time (twice a
-    modality, a modality shifted by its first row, or squared entries for
-    row norms); ``gx`` and ``gy`` hold the gradients.
+    modality, or a modality shifted by its first row); ``gx`` and ``gy`` hold
+    the gradients.
     """
 
     __slots__ = ("z", "p_col", "scratch", "gx", "gy")
@@ -304,7 +305,9 @@ def train_contrastive(
     unit-norm; without it any finite initialization is accepted.
 
     The step runs in one ``_Workspace`` kept for the whole run, and updates
-    and re-projects the state in place.
+    and re-projects the state in place. numpy's overflow and invalid-value
+    warnings are silenced during the run: a non-finite loss or state is
+    detected here and raised as FloatingPointError.
 
     Raises
     ------
@@ -322,7 +325,6 @@ def train_contrastive(
     x = init.x.values.copy()
     y = init.y.values.copy()
     ws = _Workspace(n, d)
-    finite = np.empty((n, d), dtype=bool)
 
     if mask is not None:
         masked_abs = np.empty((n, mask.size))
@@ -350,45 +352,41 @@ def train_contrastive(
 
     trajectory: list[TrainingRecord] = []
     running_masked_max = 0.0
-    for step in range(cfg.steps + 1):
-        grad_x, grad_y, loss = _gradients(x, y, tau, span, ws)
-        if mask is not None:
-            seen = []
-            for g in (grad_x, grad_y):
-                # The mask is range-checked, so "clip" never clips; it gathers
-                # straight into the buffer where "raise" would buffer again.
-                np.take(g, mask, axis=1, out=masked_abs, mode="clip")
-                seen.append(float(np.abs(masked_abs, out=masked_abs).max()))
-            running_masked_max = max(running_masked_max, max(seen))
-        if step % cfg.record_every == 0 or step == cfg.steps:
-            trajectory.append(snapshot(step, loss, running_masked_max))
-            running_masked_max = 0.0
-        if step == cfg.steps:
-            break
-        if cfg.learning_rate == 0.0:
-            continue  # a zero update followed by projection must be a bitwise no-op
-        for a, g in ((x, grad_x), (y, grad_y)):
-            g *= cfg.learning_rate
-            a -= g
-        if not (np.isfinite(x, out=finite).all() and np.isfinite(y, out=finite).all()):
-            raise FloatingPointError(f"update diverged at step {step}")
-        if cfg.renormalize_each_step:
-            # The rows are finite here, so dividing them by their norms keeps
-            # them finite: of EmbeddingMatrix's unit-norm checks only the
-            # zero row and the 1e-9 norm band can fail.
-            try:
-                for a in (x, y):
-                    _normalize_rows_inplace(a, ws.scratch)
-            except ValueError as exc:
-                raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps + 1):
+            grad_x, grad_y, loss = _gradients(x, y, tau, span, ws)
+            if mask is not None:
+                seen = []
+                for g in (grad_x, grad_y):
+                    # The mask is range-checked, so "clip" never clips; it gathers
+                    # straight into the buffer where "raise" would buffer again.
+                    np.take(g, mask, axis=1, out=masked_abs, mode="clip")
+                    seen.append(float(np.abs(masked_abs, out=masked_abs).max()))
+                running_masked_max = max(running_masked_max, max(seen))
+            if step % cfg.record_every == 0 or step == cfg.steps:
+                trajectory.append(snapshot(step, loss, running_masked_max))
+                running_masked_max = 0.0
+            if step == cfg.steps:
+                break
+            if cfg.learning_rate == 0.0:
+                continue  # a zero update followed by projection must be a bitwise no-op
+            for a, g in ((x, grad_x), (y, grad_y)):
+                g *= cfg.learning_rate
+                a -= g
+            if _first_nonfinite(x) is not None or _first_nonfinite(y) is not None:
+                raise FloatingPointError(f"update diverged at step {step}")
+            if cfg.renormalize_each_step:
+                # The rows are finite here, so dividing them by their norms keeps
+                # them finite: of EmbeddingMatrix's unit-norm checks only the
+                # zero row and the 1e-9 norm band can fail.
+                try:
+                    for a in (x, y):
+                        _normalize_rows_inplace(a)
+                except ValueError as exc:
+                    raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
 
-    if cfg.renormalize_each_step:
-        # the state is kept on the sphere by the projection; no extra pass
-        final = PairedEmbeddings(
-            x=EmbeddingMatrix(x, unit_norm=True), y=EmbeddingMatrix(y, unit_norm=True)
-        )
-    else:
-        final = PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y))
+    unit = cfg.renormalize_each_step  # the projection kept the state on the sphere
+    final = PairedEmbeddings(x=EmbeddingMatrix(x, unit_norm=unit), y=EmbeddingMatrix(y, unit_norm=unit))
     return TrainingResult(trajectory=trajectory, final=final)
 
 

@@ -7,8 +7,8 @@ Two interchange formats:
   32-bit float), all little-endian; then the payload, row-major
   little-endian float32. 28 header bytes total.
 * CSV: one row per line, comma-separated decimal floats, optional header
-  line. Values are written with 17 significant digits so float64 survives
-  a round trip exactly.
+  line; blank lines are skipped. Values are written with 17 significant
+  digits so float64 survives a round trip exactly.
 
 Matrices are stored in 32-bit floats in MMEB (the common export precision
 for embedding dumps) and computed on in 64-bit; CSV carries full float64.
@@ -18,9 +18,11 @@ MMEB files are streamed one ``linalg._row_blocks`` block of rows at a time.
 A write converts and writes one float32 block after the header; a read
 checks the header against the file size before it allocates anything, then
 reads each block into one reusable float32 buffer and converts it into the
-float64 result, checking finiteness as it goes. Neither holds a full-size
-copy of the payload, and the bytes and values are those of a whole-matrix
-conversion.
+float64 result. Neither holds a full-size copy of the payload, and the bytes
+and values are those of a whole-matrix conversion. A CSV read parses one
+line at a time into a float64 row and stacks the rows once. A read scans
+the matrix for non-finite values once, in ``EmbeddingMatrix``; only if that
+scan fails is the first bad value located for the message.
 """
 
 from __future__ import annotations
@@ -100,12 +102,21 @@ def _atomic_write(path: str, data) -> None:
         raise
 
 
-def _check_finite(values: np.ndarray, row0: int = 0) -> None:
-    """Raise NonFiniteValueError at the first NaN or infinity of ``values``,
-    whose first row is row ``row0`` of the matrix."""
+def _check_finite(values: np.ndarray) -> None:
+    """Raise NonFiniteValueError at the first NaN or infinity of ``values``."""
     at = _first_nonfinite(values)
     if at is not None:
-        raise NonFiniteValueError(f"non-finite value at row {row0 + at[0]}, col {at[1]}")
+        raise NonFiniteValueError(f"non-finite value at row {at[0]}, col {at[1]}")
+
+
+def _embedding(values: np.ndarray) -> EmbeddingMatrix:
+    """``EmbeddingMatrix(values)``; if it rejects a non-finite value, a
+    NonFiniteValueError naming its row and column instead."""
+    try:
+        return EmbeddingMatrix(values)
+    except ValueError:
+        _check_finite(values)
+        raise
 
 
 def write_mmeb(matrix, path: str) -> None:
@@ -149,8 +160,7 @@ def read_mmeb(path: str) -> EmbeddingMatrix:
                 if fh.readinto(part) != part.nbytes:
                     raise TruncatedPayloadError(f"payload shrank while read, at row {blk.start}")
                 out[...] = part
-                _check_finite(out, blk.start)
-    return EmbeddingMatrix(values)
+    return _embedding(values)
 
 
 def write_csv(matrix, path: str) -> None:
@@ -164,36 +174,31 @@ def write_csv(matrix, path: str) -> None:
     _atomic_write(path, blocks if len(values) else b"\n")
 
 
-def _parse_csv_row(line: str):
-    try:
-        return [float(tok) for tok in line.split(",")]
-    except ValueError:
-        return None
-
-
 def read_csv(path: str) -> EmbeddingMatrix:
-    """Read a CSV matrix; a non-numeric first line is treated as a header."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if not lines:
-        raise FormatError("empty CSV file")
+    """Read a CSV matrix one line at a time. Blank lines are skipped, a
+    non-numeric first non-blank line is a header, and an error names the
+    file's own line number."""
     rows = []
-    first = _parse_csv_row(lines[0])
-    start = 0 if first is not None else 1
-    if start == 1 and len(lines) == 1:
-        raise FormatError("CSV holds only a header line")
-    for i, line in enumerate(lines[start:], start=start):
-        row = _parse_csv_row(line)
-        if row is None:
-            raise RaggedCsvError(f"unparseable value on line {i + 1}")
-        rows.append(row)
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedCsvError(f"line {start + i + 1} has {len(row)} columns, expected {width}")
-    values = np.asarray(rows, dtype=np.float64)
-    _check_finite(values)
-    return EmbeddingMatrix(values)
+    header = False
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.strip().split(",")
+            if tokens == [""]:
+                continue
+            try:
+                row = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            except ValueError:
+                if rows or header:
+                    raise RaggedCsvError(f"unparseable value on line {lineno}") from None
+                header = True
+                continue
+            if rows and row.size != rows[0].size:
+                raise RaggedCsvError(
+                    f"line {lineno} has {row.size} columns, expected {rows[0].size}")
+            rows.append(row)
+    if not rows:
+        raise FormatError("CSV holds only a header line" if header else "empty CSV file")
+    return _embedding(np.stack(rows))
 
 
 # embedding file format name -> (reader, writer)

@@ -61,10 +61,7 @@ class EmbeddingMatrix:
         if _first_nonfinite(a) is not None:
             raise ValueError("embedding matrix contains non-finite values")
         if self.unit_norm:
-            norms = np.empty(a.shape[0])
-            for blk in _row_blocks(*a.shape):
-                norms[blk] = np.linalg.norm(a[blk], axis=1)
-            _check_unit_norms(norms)
+            _check_unit_norms(_row_norms(a))
         object.__setattr__(self, "values", a)
 
     @property
@@ -108,7 +105,7 @@ def l2_normalize_rows(m) -> EmbeddingMatrix:
     """
     a = as_array(m)
     out = np.empty_like(a)
-    _unit_rows_into(a, out, scratch=out)
+    _unit_rows_into(a, out)
     return EmbeddingMatrix(out, unit_norm=True)
 
 
@@ -119,36 +116,42 @@ def _check_unit_norms(norms: np.ndarray) -> None:
         raise ValueError(f"unit_norm contract violated at row {bad[0]}: norm={norms[bad[0]]!r}")
 
 
-def _row_norms(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(a, axis=1)`` bit for bit, its squares written into
-    ``scratch`` (a's shape and layout) instead of a new array."""
-    np.multiply(a, a, out=scratch)
-    return np.sqrt(np.add.reduce(scratch, axis=1))
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` bit for bit, one ``_row_blocks`` block at
+    a time, so the squared entries never take n x d memory. A row norm does
+    not depend on its block, except that numpy sums a lone row of a matrix
+    that is not C-ordered pairwise, not column by column as in the whole
+    matrix; so a one-row block is reduced together with the row before it."""
+    n = a.shape[0]
+    norms = np.empty(n)
+    for blk in _row_blocks(*a.shape):
+        stop = min(blk.stop, n)
+        lo = max(0, min(blk.start, stop - 2))
+        norms[lo:stop] = np.linalg.norm(a[lo:stop], axis=1)
+    return norms
 
 
-def _unit_rows_into(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write ``a`` with every row scaled to unit L2 norm into ``out``.
-
-    ``out`` may be ``a`` (normalize in place) and ``scratch`` may be ``out``
-    when it is not ``a``. Raises ValueError on a zero row, reported with its
-    index, before ``out`` is written.
+def _unit_rows_into(a: np.ndarray, out: np.ndarray) -> None:
+    """Write ``a`` with every row scaled to unit L2 norm into ``out``, which
+    may be ``a``. Raises ValueError on a zero row, reported with its index,
+    before ``out`` is written.
     """
-    norms = _row_norms(a, scratch)
+    norms = _row_norms(a)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot normalize zero row at index {zero[0]}")
     np.divide(a, norms[:, None], out=out)
 
 
-def _normalize_rows_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
+def _normalize_rows_inplace(a: np.ndarray) -> None:
     """Scale every row of ``a`` to unit L2 norm in place, then check it as
     ``EmbeddingMatrix(a, unit_norm=True)`` would, without building one.
 
-    ``scratch`` has a's shape and layout. Raises ValueError on a zero row or
-    a row norm outside ``UNIT_NORM_TOL`` of 1, reported with its index.
+    Raises ValueError on a zero row or a row norm outside ``UNIT_NORM_TOL``
+    of 1, reported with its index.
     """
-    _unit_rows_into(a, a, scratch)
-    _check_unit_norms(_row_norms(a, scratch))
+    _unit_rows_into(a, a)
+    _check_unit_norms(_row_norms(a))
 
 
 def covariance(m) -> np.ndarray:
@@ -209,7 +212,7 @@ def spectral_summary(c: np.ndarray, gamma: float = DEFAULT_GAMMA) -> SpectralSum
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"covariance must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
+    if _first_nonfinite(c) is not None:
         raise ValueError("covariance contains non-finite values")
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.T).max() > 1e-8 * scale:
@@ -264,8 +267,8 @@ def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
     """Cosines of the row pairs (j, k) clamped to [-1, 1], and the number of
     pairs skipped because one of their rows has norm <= ``tol``.
 
-    ``norms`` are the rows' L2 norms, ``np.linalg.norm(rows, axis=1)``, when
-    the caller already has them.
+    ``norms`` are the rows' L2 norms, ``_row_norms(rows)``, when the caller
+    already has them.
 
     The rows of a pair are gathered one ``_row_blocks`` block of pairs at a
     time, so the gathered copies stay cache-sized instead of growing with
@@ -275,7 +278,7 @@ def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
     bit for bit.
     """
     if norms is None:
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
     ok = (norms[j] > tol) & (norms[k] > tol)
     j, k = j[ok], k[ok]
     dots = np.empty(j.size)
@@ -298,7 +301,7 @@ def mean_pairwise_cosine(
     n = a.shape[0]
     if n < 2:
         raise ValueError(f"pairwise cosine needs at least 2 rows, got {n}")
-    norms = np.linalg.norm(a, axis=1)
+    norms = _row_norms(a)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero row at index {zero[0]}")

@@ -25,12 +25,12 @@ from .linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
     SpectralSummary,
-    _index_pairs,
     _orthonormal_columns,
-    _pair_cosines,
     _row_blocks,
+    _row_norms,
     covariance,
     l2_normalize_rows,
+    mean_pairwise_cosine,
     spectral_summary,
 )
 
@@ -105,7 +105,7 @@ def make_gap_world(
     gap = gap_norm * frame[:, span_dim] if span_dim < d else np.zeros(d)
 
     coeffs = rng.standard_normal((n, span_dim))
-    coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+    coeffs /= _row_norms(coeffs)[:, None]
     y = coeffs @ basis.T
     del coeffs  # freed before x is built
 
@@ -233,17 +233,10 @@ class MlpProbe:
 
 def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
     c = covariance(h)
-    # mean_pairwise_cosine(live, seed=seed) bit for bit, with the row norms
-    # taken once for the live-row test and the cosines. Dropping the dead
-    # rows stands in for its zero-row check; 10,000 is its pair budget.
-    norms = np.linalg.norm(h, axis=1)
-    alive = norms > 0.0
-    live, norms = (h, norms) if alive.all() else (h[alive], norms[alive])
-    cone = (0.0, 0.0)
-    if live.shape[0] >= 2:
-        pairs = _index_pairs(np.random.default_rng(seed), live.shape[0], 10_000)
-        vals, _ = _pair_cosines(live, *pairs, norms=norms)
-        cone = (float(vals.mean()), float(vals.std()))
+    # Dead (all-zero) rows have no direction: the cone is measured on the rest.
+    alive = _row_norms(h) > 0.0
+    live = h if alive.all() else h[alive]
+    cone = mean_pairwise_cosine(live, seed=seed) if live.shape[0] >= 2 else (0.0, 0.0)
     if float(np.abs(c).sum()) == 0.0:
         # Total die-off (or exactly constant features): no spectrum to report.
         return MlpProbe(layer=layer, summary=None, effective_dim=0,

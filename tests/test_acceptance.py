@@ -160,6 +160,7 @@ def test_criterion_3_initialization_numbers():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_gap_preserved_under_scaled_training():
     start = time.monotonic()
     w = make_collapsed_init_world(n=256, seed=0)

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,15 @@ class TestConfigTypes:
         err = exits_2_with_one_line(capsys, tmp_path, "gap-stats",
                                     {"x_file": str(x), "y_file": str(x)})
         assert f"payload holds 0 bytes, expected {2**40 * 512 * 4}" in err
+
+    def test_diverged_training_exits_2(self, capsys, tmp_path):
+        # the trainer detects the divergence itself; numpy warns of nothing
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            err = exits_2_with_one_line(capsys, tmp_path, "train-sim",
+                                        {"learning_rate": 1e6, "steps": 50, "record_every": 10})
+        assert re.fullmatch(r"gaplab train-sim: error: update diverged at step \d+\n", err)
+        assert [str(w.message) for w in seen] == []
 
     def test_nan_never_reaches_a_report(self, tmp_path):
         with pytest.raises(ValueError):

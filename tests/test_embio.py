@@ -117,6 +117,30 @@ class TestCsv:
         with pytest.raises(RaggedCsvError, match="line 2"):
             read_csv(str(path))
 
+    @pytest.mark.parametrize("text,message", [
+        ("1,2\n\n\n3,4\nx,5\n", "unparseable value on line 5"),
+        ("1,2\n\n3,4\n5\n", "line 4 has 1 columns, expected 2"),
+        ("1,2\n3\nx,y\n", "line 2 has 1 columns, expected 2"),  # the first defect
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(RaggedCsvError, match=f"^{message}$"):
+            read_csv(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n  \na,b\n\n1.5,2.5\n\n3.5,4.5\n\n")
+        np.testing.assert_array_equal(read_csv(str(path)).values, [[1.5, 2.5], [3.5, 4.5]])
+
+    @pytest.mark.parametrize("text,message", [("\n\n", "empty CSV file"),
+                                              ("\na,b\n\n", "CSV holds only a header line")])
+    def test_no_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_csv(str(path))
+
     def test_unparseable_value_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,oops\n")

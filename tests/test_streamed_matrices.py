@@ -6,7 +6,7 @@ The references below are that code, copied: ``make_gap_world``'s noise as
 one (n, d) draw, ``write_mmeb``'s one ``tobytes`` payload, ``write_csv``'s
 one join of every line, ``read_mmeb``'s whole-file read and ``astype``,
 ``embio._check_finite``'s ``argwhere`` over an n x d mask and the unit-norm
-check's ``np.linalg.norm(a, axis=1)``.
+check's ``np.linalg.norm(a, axis=1)``, which ``linalg._row_norms`` must equal.
 Each test compares with ``==`` at the module's block size, at one row and at
 93 rows (which divides none of the row counts, so the last block is
 partial). ``TestTracedPeaks`` bounds the memory each path allocates, as
@@ -125,6 +125,16 @@ class TestStreamedMatchesWholeMatrix:
         assert path.read_bytes() == ref_csv_bytes(m)
 
     @pytest.mark.parametrize("rows", BLOCKS)
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("n,d", [(300, 512), (200, 3), (1, 1), (129, 512)])
+    def test_row_norms(self, monkeypatch, rows, layout, n, d):
+        m = np.random.default_rng(n + d).standard_normal((n, d)) * np.logspace(-5, 5, d)
+        m = np.asfortranarray(m) if layout == "F" else m
+        set_block_rows(monkeypatch, rows, d)
+        got = linalg._row_norms(m)
+        assert got.shape == (n,) and (got == np.linalg.norm(m, axis=1)).all()
+
+    @pytest.mark.parametrize("rows", BLOCKS)
     @pytest.mark.parametrize("n,d", [(300, 512), (200, 3), (1, 1)])
     def test_read_mmeb_values(self, tmp_path, monkeypatch, rows, n, d):
         m = np.random.default_rng(n * d).standard_normal((n, d))
@@ -174,6 +184,40 @@ class TestStreamedMatchesWholeMatrix:
                 EmbeddingMatrix(bad, unit_norm=True)
             assert str(err.value) == ref_unit_norm_message(bad)
             assert f"violated at row {row}:" in str(err.value)
+
+
+class TestOneFinitenessScan:
+    """A read scans each matrix for non-finite values once, however many
+    blocks it spans."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        scan = linalg._first_nonfinite
+
+        def counted(a):
+            seen.append(a.shape)
+            return scan(a)
+
+        monkeypatch.setattr(linalg, "_first_nonfinite", counted)
+        monkeypatch.setattr(embio, "_first_nonfinite", counted)
+        return seen
+
+    def test_read_mmeb(self, tmp_path, monkeypatch, calls):
+        n, d = 300, 64
+        set_block_rows(monkeypatch, 93, d)
+        path = tmp_path / "m.mmeb"
+        path.write_bytes(ref_mmeb_bytes(float32_matrix(n, d, 8)))
+        calls.clear()
+        read_mmeb(str(path))
+        assert calls == [(n, d)]
+
+    def test_read_csv(self, tmp_path, calls):
+        path = tmp_path / "m.csv"
+        write_csv(float32_matrix(20, 7, 9), str(path))
+        calls.clear()
+        embio.read_csv(str(path))
+        assert calls == [(20, 7)]
 
 
 class TestStreamedIoRobust:
@@ -250,6 +294,14 @@ class TestTracedPeaks:
         got, peak = traced_peak(lambda: read_mmeb(str(path)))
         assert got.n == self.N
         assert peak <= self.NDB + 2 * MIB
+
+    def test_read_csv(self, tmp_path):
+        n = 1000  # a 4 MB matrix; its text is about 10 MB
+        path = tmp_path / "m.csv"
+        write_csv(float32_matrix(n, self.D, 10), str(path))
+        got, peak = traced_peak(lambda: embio.read_csv(str(path)))
+        assert got.n == n
+        assert peak <= 2 * n * self.D * 8 + 2 * MIB  # the rows, then one stacked copy
 
     def test_unit_norm_check(self):
         y = linalg.l2_normalize_rows(float32_matrix(self.N, self.D, 6)).values
