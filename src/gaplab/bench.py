@@ -329,6 +329,13 @@ def run_ablation(
     seed's cells are scored by one ``_seed_scores`` call with noise seed
     ``1000 + seed``, the path ``evaluate_crossmodal`` takes for one cell.
     """
+    return _ablation(task_kwargs, variants, seeds, sigma_grid, lam)[0]
+
+
+def _ablation(task_kwargs, variants, seeds, sigma_grid, lam, in_modality=False):
+    """``run_ablation``'s rows, and ``in_modality_metric`` of each seed's task
+    when ``in_modality`` is set (else an empty list), on the task the seed's
+    cells were scored on."""
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     if len(sigma_grid) < 1:
@@ -337,9 +344,12 @@ def run_ablation(
     cells = [(v, sigma) for v, grid in plan for sigma in grid]
     task_kwargs = dict(task_kwargs or {})
     per_seed = []
+    sanity = []
     for s in seeds:
         task = make_toy_task(seed=s, **task_kwargs)
         per_seed.append(_seed_scores(task, cells, lam, 1000 + s))
+        if in_modality:
+            sanity.append(in_modality_metric(task, lam))
 
     columns = iter(zip(*per_seed))  # per cell, its metric at every seed
     rows = []
@@ -352,7 +362,7 @@ def run_ablation(
                 best = (sigma, mean, float(seed_vals.std()))
         rows.append(AblationRow(variant=variant, train_sigma=best[0],
                                 mean=best[1], std=best[2], seeds=len(seeds)))
-    return rows
+    return rows, sanity
 
 
 def gap_shift_sweep(

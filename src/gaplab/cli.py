@@ -9,14 +9,14 @@ Each value must have its default's type (an int default takes only an int,
 a float default a finite int or float, a list default a non-empty list of
 finite numbers), a positive key (``tau``, ``h``, every ``taus`` entry,
 ``seeds``, ``span_dim`` and the counts ``batches``, ``instances``,
-``depth`` and ``pairs_per_group``) must be > 0, and an enumerated string
-key (``init``, ``gradient_form``, ``noise_mode``, ``shift_mode`` and the
-file formats) must name one of its choices, or the command exits with
-status 2 before any work starts. The resolved config is echoed into every
-report, reports carry no timestamps and no NaN or infinity, and float
-formatting is fixed, so rerunning a command with the same config and seed
-reproduces the report files byte for byte. Exit status is 0 exactly when
-every check the command ran passed.
+``depth`` and ``pairs_per_group``) must be > 0, ``seed`` must be >= 0,
+and an enumerated string key (``init``, ``gradient_form``, ``noise_mode``,
+``shift_mode`` and the file formats) must name one of its choices, or the
+command exits with status 2 before any work starts. The resolved config is
+echoed into every report, reports carry no timestamps and no NaN or
+infinity, and float formatting is fixed, so rerunning a command with the
+same config and seed reproduces the report files byte for byte. Exit
+status is 0 exactly when every check the command ran passed.
 """
 
 from __future__ import annotations
@@ -346,11 +346,10 @@ def _task_kwargs(p):
 def _cmd_c3_bench(p):
     task_kwargs = _task_kwargs(p)
     seeds = tuple(p["seed"] + s for s in range(p["seeds"]))
-    rows = bench.run_ablation(task_kwargs, seeds=seeds,
-                              sigma_grid=tuple(p["sigma_grid"]), lam=p["lam"])
+    rows, in_modality = bench._ablation(task_kwargs, bench.VARIANTS, seeds,
+                                        tuple(p["sigma_grid"]), p["lam"], in_modality=True)
     by = {r.variant: r for r in rows}
-    sanity = float(np.mean([bench.in_modality_metric(bench.make_toy_task(seed=s, **task_kwargs), p["lam"])
-                            for s in seeds]))
+    sanity = float(np.mean(in_modality))
     results = {
         "rows": [
             {"variant": r.variant, "train_sigma": r.train_sigma,
@@ -464,7 +463,8 @@ def _has_type(value, default) -> bool:
 
 def _check_config(command: str, params: dict) -> None:
     """Raise ValueError unless ``params`` has exactly the command's keys, typed as its
-    defaults, its positive keys > 0 and its choice keys one of their values."""
+    defaults, its positive keys > 0, its seed >= 0 and its choice keys one of their
+    values."""
     _, defaults, positive, choices = _COMMANDS[command]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
@@ -481,6 +481,8 @@ def _check_config(command: str, params: dict) -> None:
             if not all(v > 0 for v in (value if isinstance(value, list) else [value])):
                 what = "every entry of" if isinstance(value, list) else "config key"
                 raise ValueError(f"{what} {key} for {command} must be > 0, got {value!r}")
+        if key == "seed" and params[key] < 0:
+            raise ValueError(f"config key seed for {command} must be >= 0, got {params[key]!r}")
         if key in choices and params[key] not in choices[key]:
             raise ValueError(f"config key {key} for {command} must be one of "
                              f"{', '.join(choices[key])}, got {params[key]!r}")

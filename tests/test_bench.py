@@ -230,14 +230,28 @@ class TestAblation:
 
     def test_noise_drawn_once_per_seed(self, monkeypatch):
         calls = []
-        row_noise = c3._row_noise
-        monkeypatch.setattr(c3, "_row_noise", lambda *a: calls.append(a) or row_noise(*a))
+        unit_noise = c3._unit_noise
+        # bench calls c3's kernel through the name it imported
+        monkeypatch.setattr(bench, "_unit_noise", lambda *a: calls.append(a) or unit_noise(*a))
         kwargs = dict(n=400, d=32, gap_norm=0.83, sigma_align=0.05, span_dim=16)
         seeds = (0, 1, 2)
         run_ablation(task_kwargs=kwargs, seeds=seeds)
         n_train = len(make_toy_task(seed=0, **kwargs).train_idx)
-        assert len(calls) == len(seeds) * n_train  # not x 3 variants x 4 sigmas
-        assert sorted({a[0] for a in calls}) == [1000 + s for s in seeds]
+        # one draw of every train row per seed, not x 3 variants x 4 sigmas
+        assert calls == [(1000 + s, n_train, 32) for s in seeds]
+
+    def test_in_modality_scored_on_the_ablation_tasks(self, monkeypatch):
+        kwargs = dict(n=400, d=32, gap_norm=0.83, sigma_align=0.05, span_dim=16)
+        seeds = (0, 1, 2)
+        expected = [in_modality_metric(make_toy_task(seed=s, **kwargs), 1e-3) for s in seeds]
+        rows = run_ablation(task_kwargs=kwargs, seeds=seeds)
+        built = []
+        make = bench.make_toy_task
+        monkeypatch.setattr(bench, "make_toy_task", lambda **kw: built.append(kw["seed"]) or make(**kw))
+        assert bench._ablation(kwargs, VARIANTS, seeds, bench.SIGMA_GRID, 1e-3,
+                               in_modality=True) == (rows, expected)
+        assert built == list(seeds)
+        assert bench._ablation(kwargs, VARIANTS, seeds, bench.SIGMA_GRID, 1e-3) == (rows, [])
 
 
 class TestShiftSweep:

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from gaplab.c3 import C3Config, _add_noise, _unit_noise, collapse, corrupt
+from gaplab.c3 import _KEY_ROWS, C3Config, _add_noise, _unit_noise, collapse, corrupt
 from gaplab.worlds import make_gap_world
+
+
+def reference_noise(seed, n, d):
+    """The keyed stream row by row: a SeedSequence, PCG64 and Generator each."""
+    noise = np.empty((n, d))
+    for row in range(n):
+        noise[row] = np.random.default_rng(np.random.SeedSequence([seed, row])).standard_normal(d)
+    return noise
 
 
 class TestCollapse:
@@ -99,6 +107,53 @@ class TestCorrupt:
             for cfg in (C3Config(sigma=sigma, seed=5),
                         C3Config(sigma=sigma, mode="span_only", gap_direction=g, seed=5)):
                 np.testing.assert_array_equal(_add_noise(m, unit, cfg), corrupt(m, cfg))
+
+
+# 1 to 4 words of entropy in the seed; with the row's word, 2**100 + 7 fills
+# more than SeedSequence's pool of 4
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7)
+
+
+class TestUnitNoise:
+    @pytest.mark.parametrize("seed", SEEDS + (np.int64(2**40 + 5),))
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_matches_per_row_reference(self, seed, n, d):
+        noise = _unit_noise(seed, n, d)
+        assert noise.shape == (n, d)
+        assert np.array_equal(noise, reference_noise(seed, n, d))
+
+    @pytest.mark.parametrize("seed", [0, 2**100 + 7])
+    def test_partial_last_block_matches_reference(self, seed):
+        n = 4 * _KEY_ROWS + 77  # past 1024 rows, ending in a partial block
+        assert np.array_equal(_unit_noise(seed, n, 64), reference_noise(seed, n, 64))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_prefix_across_a_block_boundary(self, seed):
+        full = _unit_noise(seed, _KEY_ROWS + 5, 64)
+        for k in (_KEY_ROWS - 1, _KEY_ROWS, _KEY_ROWS + 1):
+            assert np.array_equal(_unit_noise(seed, k, 64), full[:k])
+
+    @pytest.mark.parametrize("seed,error", [(-3, ValueError), (-(2**70), ValueError),
+                                            (np.int64(-1), ValueError), (1.0, TypeError),
+                                            (np.float64(2.0), TypeError)])
+    def test_rejects_what_seed_sequence_rejects(self, seed, error):
+        with pytest.raises(error):
+            reference_noise(seed, 1, 4)
+        with pytest.raises(error):
+            _unit_noise(seed, 1, 4)
+
+
+class TestConfigSeed:
+    @pytest.mark.parametrize("seed", [-3, -1, 1.0, 2.5, "3", None, True])
+    def test_bad_seed_rejected_when_built(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer") as info:
+            C3Config(sigma=0.1, seed=seed)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, np.int64(5)])
+    def test_integer_seed_accepted(self, seed):
+        assert C3Config(sigma=0.1, seed=seed).seed == seed
 
 
 class TestPipelines:

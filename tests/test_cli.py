@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import cli, contrastive
+from gaplab import bench, cli, contrastive
 from gaplab.contrastive import ContrastiveBatch, loss_bound_check
 from gaplab.cli import main, resolve_config
 from gaplab.embio import DTYPE_FLOAT32, MAGIC, VERSION, read_csv, write_mmeb
@@ -108,6 +108,15 @@ class TestConfigTypes:
     def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
         exits_2_with_one_line(capsys, tmp_path, command, config)
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_negative_seed_flag_exits_2(self, capsys, tmp_path, command):
+        err = exits_2_with_one_line(capsys, tmp_path, command, {}, "--seed", "-3")
+        assert err == f"gaplab {command}: error: config key seed for {command} must be >= 0, got -3\n"
+
+    def test_negative_seed_in_config_exits_2(self, capsys, tmp_path):
+        err = exits_2_with_one_line(capsys, tmp_path, "c3-bench", {"seed": -1})
+        assert err == "gaplab c3-bench: error: config key seed for c3-bench must be >= 0, got -1\n"
+
     def test_no_shared_dimension_to_mask_exits_2(self, capsys, tmp_path):
         # dex + dey = d leaves no shared constant dimension to mask
         err = exits_2_with_one_line(capsys, tmp_path, "train-sim", {"dex": 25, "dey": 487})
@@ -154,6 +163,15 @@ class TestConfigTypes:
 
 
 class TestCommands:
+    def test_c3_bench_builds_each_task_once(self, tmp_path, monkeypatch):
+        built = []
+        make = bench.make_toy_task
+        monkeypatch.setattr(bench, "make_toy_task", lambda **kw: built.append(kw["seed"]) or make(**kw))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 200, "d": 32}))
+        main(["c3-bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert built == [0, 1, 2, 3, 4]  # one per seed; none rebuilt for in_modality_mean
+
     def test_verify_gradients_passes(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"batches": 9}))
