@@ -31,8 +31,6 @@ from .contrastive import (
     exact_gradients,
     span_gradients,
     train_contrastive,
-    margin,
-    crowding_factor,
     stable_region_threshold,
     loss_bound_check,
 )

@@ -13,10 +13,14 @@ finite numbers), a positive key (``tau``, ``h``, every ``taus`` entry,
 and an enumerated string key (``init``, ``gradient_form``, ``noise_mode``,
 ``shift_mode`` and the file formats) must name one of its choices, or the
 command exits with status 2 before any work starts. The resolved config is
-echoed into every report, reports carry no timestamps and no NaN or
-infinity, and float formatting is fixed, so rerunning a command with the
-same config and seed reproduces the report files byte for byte. Exit
-status is 0 exactly when every check the command ran passed.
+echoed into every report, reports carry no timestamps, and float formatting
+is fixed, so rerunning a command with the same config and seed reproduces
+the report files byte for byte. No report file holds a NaN or an infinity:
+such a value fails the report before its directory is made. ``main`` runs
+the command with numpy's overflow, invalid and divide errors raised, never
+warned; a ValueError, OSError, ArithmeticError or MemoryError exits with
+status 2 and one line on stderr, and otherwise the exit status is 0 exactly
+when every check the command ran passed.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ from . import bench, embio, worlds
 from .contrastive import (
     ContrastiveBatch,
     TrainerConfig,
-    _anchor_split,
-    _bound_report,
+    _anchor_reports,
     _forward,
+    _threshold,
     exact_gradients,
-    stable_region_threshold,
     train_contrastive,
 )
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, SpectralSummary, covariance,
@@ -52,12 +55,14 @@ RANK_GAMMA = 1.0 - 1e-9
 # report plumbing
 
 def _cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        if math.isfinite(v):
+            return repr(float(v))
+        raise ValueError(f"report cell is not finite: {float(v)!r}")
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
     return str(v)
 
 
@@ -69,15 +74,15 @@ def _tolist(v):
 
 
 def write_reports(out_dir, command, config, results, checks, tables, fmt="both"):
-    """Emit <command>.json and per-table CSVs under ``out_dir``; return pass flag."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Emit <command>.json and per-table CSVs under ``out_dir``; return pass flag.
+    Every text is formatted before ``out_dir`` is made: a rejected report leaves none."""
     passed = all(checks.values()) if checks else True
+    files = []
     if fmt in ("json", "both"):
         doc = {"command": command, "config": config, "results": results,
                "checks": checks, "passed": passed}
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_tolist)
-        embio._atomic_write(os.path.join(out_dir, f"{command}.json"),
-                            (text + "\n").encode("utf-8"))
+        files.append((f"{command}.json", text))
     if fmt in ("csv", "both"):
         prefix = [f"# command={command}"]
         prefix += [f"# {k}={_cell(v)}" for k, v in sorted(config.items())]
@@ -85,10 +90,10 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
             lines = list(prefix)
             lines.append(",".join(header))
             lines += [",".join(_cell(v) for v in row) for row in rows]
-            embio._atomic_write(
-                os.path.join(out_dir, f"{command}.{name}.csv"),
-                ("\n".join(lines) + "\n").encode("utf-8"),
-            )
+            files.append((f"{command}.{name}.csv", "\n".join(lines)))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files:
+        embio._atomic_write(os.path.join(out_dir, name), (text + "\n").encode("utf-8"))
     return passed
 
 
@@ -253,11 +258,14 @@ def _cmd_stable_region(p):
         for i in range(p["n"]):
             if done >= p["instances"]:
                 break
-            pos, negatives = _anchor_split(x, y, i)
+            sims = x[i] @ y.T
+            reports = _anchor_reports(sims, i, taus, delta)
+            sims[i] = -np.inf  # the threshold needs a unique hardest negative
+            if np.count_nonzero(sims == sims.max()) > 1:
+                raise ValueError("similarity profile has a tied maximum")
             thresholds = []
-            for tau in taus:
-                rep = _bound_report(pos, negatives, tau, delta)
-                thr = stable_region_threshold(negatives, tau, delta)
+            for tau, rep in zip(taus, reports):
+                thr = _threshold(tau, rep.crowding, delta)
                 thresholds.append(thr)
                 if rep.loss_i > rep.bound:
                     violations += 1
@@ -534,8 +542,9 @@ def main(argv=None) -> int:
 
     try:
         params = resolve_config(args.command, args.config, args.seed, args.long_running)
-        ok = run_command(args.command, params, args.out, args.format)
-    except (ValueError, OSError, FloatingPointError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ok = run_command(args.command, params, args.out, args.format)
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"gaplab {args.command}: error: {exc}", file=sys.stderr)
         return 2
     if not ok:

@@ -52,8 +52,6 @@ __all__ = [
     "exact_gradients",
     "span_gradients",
     "train_contrastive",
-    "margin",
-    "crowding_factor",
     "stable_region_threshold",
     "loss_bound_check",
     "StableRegionReport",
@@ -390,45 +388,9 @@ def train_contrastive(
     return TrainingResult(trajectory=trajectory, final=final)
 
 
-def _anchor_split(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-    """Anchor x_i's matched similarity and its n - 1 negative similarities."""
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("an anchor needs at least one negative (n >= 2)")
-    if not (0 <= i < n):
-        raise IndexError(f"row {i} out of range for n={n}")
-    sims = x[i] @ y.T
-    return sims[i], np.delete(sims, i)
-
-
-def margin(batch: ContrastiveBatch, i: int) -> float:
-    """Similarity margin of anchor x_i: matched pair minus hardest negative."""
-    pos, negatives = _anchor_split(batch.pairs.x.values, batch.pairs.y.values, i)
-    return float(pos - negatives.max())
-
-
-def _crowding(t: np.ndarray, tau: float) -> float:
-    """o'(tau) = 1 + sum_{i != m} exp((t_i - t_m) / tau), m the first argmax of t."""
-    m = int(np.argmax(t))
-    return 1.0 + float(np.exp((np.delete(t, m) - t[m]) / tau).sum())
-
-
-def crowding_factor(similarities, tau: float) -> tuple[float, int]:
-    """Crowding of a similarity profile: (o', ceil(o')).
-
-    o'(tau) = 1 + sum_{i != m} exp((t_i - t_m) / tau) where m is the unique
-    argmax of the profile. Monotonically increasing in tau and bounded by
-    the profile length. A tied maximum is rejected.
-    """
-    t = np.asarray(similarities, dtype=np.float64).ravel()
-    if t.size < 1:
-        raise ValueError("empty similarity profile")
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    if np.count_nonzero(t == t.max()) > 1:
-        raise ValueError("similarity profile has a tied maximum")
-    o_prime = _crowding(t, tau)
-    return o_prime, int(math.ceil(o_prime))
+def _threshold(tau: float, o: int, delta: float) -> float:
+    """tau * log(o / (exp(delta) - 1)) for an integer crowding factor o."""
+    return float(tau * math.log(o / math.expm1(delta)))
 
 
 def stable_region_threshold(similarities, tau: float, delta: float) -> float:
@@ -436,13 +398,23 @@ def stable_region_threshold(similarities, tau: float, delta: float) -> float:
 
     threshold = tau * log( o(tau) / (exp(delta) - 1) )
 
-    with o(tau) the integer crowding factor of the profile. A non-positive
-    threshold means any margin suffices.
+    with o(tau) = ceil(o'(tau)) the integer crowding factor of the profile,
+    o'(tau) = 1 + sum_{i != m} exp((t_i - t_m) / tau) with m its argmax. A
+    non-positive threshold means any margin suffices. The argmax must be
+    unique: a tied maximum is rejected.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    _, o = crowding_factor(similarities, tau)
-    return float(tau * math.log(o / math.expm1(delta)))
+    t = np.asarray(similarities, dtype=np.float64).ravel()
+    if t.size < 1:
+        raise ValueError("empty similarity profile")
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    if np.count_nonzero(t == t.max()) > 1:
+        raise ValueError("similarity profile has a tied maximum")
+    m = int(np.argmax(t))
+    o_prime = 1.0 + float(np.exp((np.delete(t, m) - t[m]) / tau).sum())
+    return _threshold(tau, int(math.ceil(o_prime)), delta)
 
 
 @dataclass(frozen=True)
@@ -454,36 +426,48 @@ class StableRegionReport:
     in_stable_region: bool
 
 
+def _anchor_reports(sims: np.ndarray, i: int, taus, delta: float) -> list[StableRegionReport]:
+    """``loss_bound_check`` of anchor i at every tau, from its row sims[j] = x_i . y_j.
+
+    The negatives, the hardest one (first argmax), the margin and the shifted
+    profile are taken once, then one exp-sum per tau gives o'. Tied hardest
+    negatives are accepted: the crowding bound holds whichever one is left out.
+    """
+    n = sims.shape[0]
+    if n < 2:
+        raise ValueError("an anchor needs at least one negative (n >= 2)")
+    if not (0 <= i < n):
+        raise IndexError(f"row {i} out of range for n={n}")
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    negatives = np.delete(sims, i)
+    m = int(np.argmax(negatives))
+    r = float(sims[i] - negatives[m])
+    shifted = np.delete(negatives, m) - negatives[m]
+    reports = []
+    for tau in taus:
+        o_prime = 1.0 + float(np.exp(shifted / tau).sum())
+        o = int(math.ceil(o_prime))
+        # Writing the anchor loss as log1p(o' * e^(-r/tau)) is exact (shift the
+        # log-sum-exp at the hardest negative) and shares every factor with the
+        # bound, so the bound can never be undercut by rounding alone.
+        decay = np.exp(-r / tau)
+        loss_i = float(np.log1p(o_prime * decay))
+        bound = float(np.log1p(o * decay))
+        reports.append(StableRegionReport(loss_i=loss_i, bound=bound, margin=r, crowding=o,
+                                          in_stable_region=bool(loss_i <= delta)))
+    return reports
+
+
 def loss_bound_check(batch: ContrastiveBatch, i: int, delta: float) -> StableRegionReport:
     """Per-anchor loss, its crowding bound, and the stable-region predicate.
 
     The anchor term L_i = -log softmax_j(x_i . y_j / tau)[i] always sits
     below log(1 + o(tau) * exp(-r / tau)), where o is the crowding factor
-    of the anchor's negative similarities and r its margin.
+    of the anchor's negative similarities and r its margin (matched
+    similarity minus hardest negative). Tied hardest negatives are accepted.
     """
-    pos, negatives = _anchor_split(batch.pairs.x.values, batch.pairs.y.values, i)
-    return _bound_report(pos, negatives, batch.tau, delta)
-
-
-def _bound_report(pos: float, negatives: np.ndarray, tau: float, delta: float) -> StableRegionReport:
-    """``loss_bound_check`` for an anchor given its matched and negative similarities."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    r = float(pos - negatives.max())
-    # Tied negative maxima are fine here: the crowding inequality still
-    # holds, only the threshold op insists on a unique argmax.
-    o_prime = _crowding(negatives, tau)
-    o = int(math.ceil(o_prime))
-    # Writing the anchor loss as log1p(o' * e^(-r/tau)) is exact (shift the
-    # log-sum-exp at the hardest negative) and shares every factor with the
-    # bound, so the bound can never be undercut by rounding alone.
-    decay = np.exp(-r / tau)
-    loss_i = float(np.log1p(o_prime * decay))
-    bound = float(np.log1p(o * decay))
-    return StableRegionReport(
-        loss_i=loss_i,
-        bound=bound,
-        margin=r,
-        crowding=o,
-        in_stable_region=bool(loss_i <= delta),
-    )
+    x, y = batch.pairs.x.values, batch.pairs.y.values
+    # an index outside [0, n) is left to the kernel's check: x[i] would wrap a negative one
+    sims = x[i] @ y.T if 0 <= i < batch.n else np.zeros(batch.n)
+    return _anchor_reports(sims, i, (batch.tau,), delta)[0]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import bench, cli, contrastive
-from gaplab.contrastive import ContrastiveBatch, loss_bound_check
+from gaplab.contrastive import ContrastiveBatch, loss_bound_check, stable_region_threshold
 from gaplab.cli import main, resolve_config
 from gaplab.embio import DTYPE_FLOAT32, MAGIC, VERSION, read_csv, write_mmeb
 from gaplab.linalg import PairedEmbeddings, l2_normalize_rows
@@ -139,11 +139,36 @@ class TestConfigTypes:
         assert re.fullmatch(r"gaplab train-sim: error: update diverged at step \d+\n", err)
         assert [str(w.message) for w in seen] == []
 
-    def test_nan_never_reaches_a_report(self, tmp_path):
+    @pytest.mark.parametrize("command,config,message", [
+        ("stable-region", {"delta": 1000.0}, "math range error"),  # OverflowError in expm1
+        # 10**15 rows outgrow the 64-bit address space: the allocation fails at once
+        ("simulate-init", {"n": 10**15}, "Unable to allocate"),
+        ("stable-region", {"d": 1}, "similarity profile has a tied maximum"),
+        # a threshold or a loss that would be written as inf
+        ("stable-region", {"delta": 1e-320}, "report cell is not finite: inf"),
+        ("stable-region", {"taus": [1e-300]}, "overflow"),
+        ("c3-bench", {"sigma_grid": [1e300], "n": 200, "seeds": 1}, "encountered"),
+        ("gap-stats", {"sigma": 1e300, "n": 1000}, "encountered"),
+    ])
+    def test_arithmetic_and_memory_errors_exit_2(self, capsys, tmp_path, command, config, message):
+        # numpy errors raise inside main, so no warning is printed before the error line
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            err = exits_2_with_one_line(capsys, tmp_path, command, config)
+        assert message in err
+        assert [str(w.message) for w in seen] == []
+
+    @pytest.mark.parametrize("config,results,rows,fmt", [
+        ({"seed": 0}, {"curve": [float("nan")]}, [], "both"),
+        ({"seed": 0}, {"curve": [1.0]}, [(0, float("inf"))], "both"),  # JSON fine, CSV not
+        ({"seed": float("nan")}, {}, [(0, 1.0)], "csv"),
+    ])
+    def test_nan_never_reaches_a_report(self, tmp_path, config, results, rows, fmt):
+        out = tmp_path / "out"
         with pytest.raises(ValueError):
-            cli.write_reports(str(tmp_path), "shift-sweep", {"seed": 0},
-                              {"curve": [float("nan")]}, {}, [])
-        assert list(tmp_path.iterdir()) == []
+            cli.write_reports(str(out), "shift-sweep", config, results, {},
+                              [("curve", ["shift", "metric"], rows)], fmt)
+        assert not out.exists()
 
     def test_long_running_flag_only_for_train_sim(self, capsys, tmp_path):
         exits_2_with_one_line(capsys, tmp_path, "stable-region", {}, "--long-running")
@@ -194,34 +219,36 @@ class TestCommands:
         assert doc["results"]["bound_violations"] == 0
 
     def test_stable_region_forms_each_row_once(self, tmp_path, monkeypatch):
-        # one similarity row per instance, shared by every tau, and the
-        # report's figures equal loss_bound_check's on the same batch
-        splits, margins = [], []
-        split, margin = cli._anchor_split, contrastive.margin
-        monkeypatch.setattr(cli, "_anchor_split", lambda *a: splits.append(a[2]) or split(*a))
-        monkeypatch.setattr(contrastive, "margin", lambda *a: margins.append(a) or margin(*a))
+        # one kernel call per instance, shared by every tau, and the report's
+        # figures equal loss_bound_check's and stable_region_threshold's on the
+        # same batch
+        calls = []
+        kernel = cli._anchor_reports
+        monkeypatch.setattr(cli, "_anchor_reports",
+                            lambda *a: calls.append((a[1], tuple(a[2]))) or kernel(*a))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"instances": 10, "n": 5, "d": 6}))
         out = tmp_path / "out"
         assert main(["stable-region", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
-        assert splits == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
-        assert margins == []
         taus = resolve_config("stable-region", None, None)["taus"]
+        assert calls == [(i, tuple(taus)) for i in [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]]
         rng = np.random.default_rng(7)
         expected = []
         for batch_no in range(2):
             x = l2_normalize_rows(rng.standard_normal((5, 6)))
             y = l2_normalize_rows(rng.standard_normal((5, 6)))
             for i in range(5):
+                negatives = np.delete(x.values[i] @ y.values.T, i)
                 for tau in taus:
                     rep = loss_bound_check(ContrastiveBatch(PairedEmbeddings(x=x, y=y), tau), i, 0.01)
                     expected.append([5 * batch_no + i, tau, rep.margin, rep.crowding,
+                                     stable_region_threshold(negatives, tau, 0.01),
                                      rep.loss_i, rep.bound])
         lines = [line for line in (out / "stable-region.instances.csv").read_text().splitlines()
                  if not line.startswith("#")]
         assert lines[0].split(",")[:7] == ["instance", "tau", "margin", "crowding", "threshold",
                                            "loss_i", "bound"]
-        got = [[float(v) for i, v in enumerate(line.split(",")[:7]) if i != 4] for line in lines[1:]]
+        got = [[float(v) for v in line.split(",")[:7]] for line in lines[1:]]
         assert got == expected
 
     @pytest.mark.parametrize("config,flags,want", [

@@ -13,10 +13,8 @@ from gaplab.contrastive import (
     TrainerConfig,
     conditional_probs,
     contrastive_loss,
-    crowding_factor,
     exact_gradients,
     loss_bound_check,
-    margin,
     span_gradients,
     stable_region_threshold,
     train_contrastive,
@@ -299,7 +297,7 @@ class TestMargin:
     def test_orthogonal_negatives(self):
         x = EmbeddingMatrix(np.eye(3), unit_norm=True)
         batch = ContrastiveBatch(PairedEmbeddings(x=x, y=x), tau=0.07)
-        assert margin(batch, 0) == 1.0
+        assert loss_bound_check(batch, 0, 0.01).margin == 1.0
 
     def test_half_margin(self):
         d = 4
@@ -317,7 +315,7 @@ class TestMargin:
             ),
             tau=0.07,
         )
-        assert margin(batch, 0) == pytest.approx(0.5, abs=1e-12)
+        assert loss_bound_check(batch, 0, 0.01).margin == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(19)
@@ -327,23 +325,29 @@ class TestMargin:
         for i in range(7):
             sims = [x[i] @ y[j] for j in range(7)]
             expected = sims[i] - max(s for j, s in enumerate(sims) if j != i)
-            assert margin(batch, i) == pytest.approx(expected, abs=1e-12)
+            assert loss_bound_check(batch, i, 0.01).margin == pytest.approx(expected, abs=1e-12)
 
     def test_needs_a_negative(self):
         batch = unit_batch(np.random.default_rng(20), 1, 4)
         with pytest.raises(ValueError):
-            margin(batch, 0)
+            loss_bound_check(batch, 0, 0.01).margin
 
 
 class TestStableRegion:
     def test_threshold_frozen_example(self):
         # t=(1.0, 0.5), tau=0.07, delta=0.01; value checked against a
         # 30-digit evaluation of 0.07*log(2/expm1(0.01))
-        o_prime, o = crowding_factor([1.0, 0.5], 0.07)
+        o_prime = 1.0 + math.exp((0.5 - 1.0) / 0.07)
         assert o_prime == pytest.approx(1.0007904903231199, abs=1e-12)
-        assert o == 2
+        assert math.ceil(o_prime) == 2
+        assert 0.07 * math.log(2 / math.expm1(0.01)) == pytest.approx(0.3705319239919390, abs=1e-12)
         thr = stable_region_threshold([1.0, 0.5], 0.07, 0.01)
         assert thr == pytest.approx(0.3705319239919390, abs=1e-12)
+        # an anchor whose negatives are that profile reports the same crowding
+        y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, math.sqrt(0.75)]])
+        batch = ContrastiveBatch(PairedEmbeddings(x=EmbeddingMatrix(np.eye(3), unit_norm=True),
+                                                  y=l2_normalize_rows(y)), 0.07)
+        assert loss_bound_check(batch, 0, 0.01).crowding == 2
 
     def test_large_delta_means_any_margin(self):
         thr = stable_region_threshold([0.9, 0.1, -0.2], tau=0.07, delta=5.0)
@@ -391,6 +395,34 @@ class TestStableRegion:
             rep = loss_bound_check(batch, i, delta=0.01)
             assert rep.loss_i <= rep.bound
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_kernel_equals_one_check_per_tau(self, tied):
+        # one kernel call over several taus reports what loss_bound_check
+        # reports at each tau alone, tied hardest negatives included
+        taus = (0.01, 0.07, 0.5, 2.0)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            x = l2_normalize_rows(rng.standard_normal((n, 5)))
+            y = rng.standard_normal((n, 5))
+            if tied and n >= 3:
+                y[1] = y[2] = x.values[0]  # anchor 0's two hardest negatives tie
+            pairs = PairedEmbeddings(x=x, y=l2_normalize_rows(y))
+            for i in range(n):
+                sims = pairs.x.values[i] @ pairs.y.values.T
+                got = contrastive._anchor_reports(sims, i, taus, 0.01)
+                assert got == [loss_bound_check(ContrastiveBatch(pairs, tau), i, 0.01)
+                               for tau in taus]
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_anchor_index_out_of_range(self, i):
+        with pytest.raises(IndexError, match="out of range"):
+            loss_bound_check(unit_batch(np.random.default_rng(24), 3, 4), i, 0.01)
+
+    def test_delta_must_be_positive(self):
+        with pytest.raises(ValueError, match="delta"):
+            loss_bound_check(unit_batch(np.random.default_rng(25), 3, 4), 0, 0.0)
+
     def test_margin_at_threshold_meets_delta(self):
         # one-negative instance; binary search the negative similarity so the
         # achieved margin lands on the threshold, then the loss must be <= delta
@@ -417,7 +449,7 @@ class TestStableRegion:
         for _ in range(60):
             mid = (lo + hi) / 2
             b = batch_for(mid)
-            r = margin(b, 0)
+            r = loss_bound_check(b, 0, delta).margin
             thr = stable_region_threshold([mid], tau, delta)
             if r > thr:
                 lo = mid

@@ -4,7 +4,7 @@ per-module implementations they replaced.
 The references below are those implementations, copied verbatim: the
 within-group pair sampler and row-wise cosines of ``geometry``, the
 normalize-then-dot ``mean_pairwise_cosine`` of ``linalg``, the grouped
-statistics loop built on them, and the inline crowding sum of
+statistics loop built on them, and the inline margin and crowding sum of
 ``loss_bound_check``. Everything that does not take a cosine of a gap
 vector or a normalized row matches bit for bit; gap orthogonality (one
 dot with the gap vector per row now) and the pairwise cosines (row norms divided out after the dot
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from gaplab import linalg
-from gaplab.contrastive import ContrastiveBatch, crowding_factor, loss_bound_check, margin
+from gaplab.contrastive import ContrastiveBatch, loss_bound_check, stable_region_threshold
 from gaplab.geometry import GapReport, PairGroups, group_pairs, group_statistics
 from gaplab.linalg import (EmbeddingMatrix, PairedEmbeddings, _index_pairs, covariance,
                            l2_normalize_rows, mean_pairwise_cosine, spectral_summary)
@@ -124,9 +124,9 @@ def ref_mean_pairwise_cosine(m, max_pairs=10_000, seed=0):
 
 def ref_loss_bound_check(batch, i, delta):
     sims = batch.pairs.x.values[i] @ batch.pairs.y.values.T
-    r = margin(batch, i)
     negatives = np.delete(sims, i)
     top = negatives.max()
+    r = float(sims[i] - top)
     o_prime = 1.0 + float(np.exp((np.delete(negatives, np.argmax(negatives)) - top) / batch.tau).sum())
     o = int(math.ceil(o_prime))
     decay = np.exp(-r / batch.tau)
@@ -305,12 +305,13 @@ class TestSharedPrimitivesMatchReference:
             rep = loss_bound_check(batch, i, 0.01)
             got = (rep.loss_i, rep.bound, rep.margin, rep.crowding, rep.in_stable_region)
             assert got == ref_loss_bound_check(batch, i, 0.01)
-            if not tied:
-                negatives = np.delete(x.values[i] @ batch.pairs.y.values.T, i)
-                o_prime, o = crowding_factor(negatives, tau)
-                assert o_prime == 1.0 + float(np.exp((np.delete(negatives, np.argmax(negatives))
-                                                      - negatives.max()) / tau).sum())
-                assert o == rep.crowding
+            negatives = np.delete(x.values[i] @ batch.pairs.y.values.T, i)
+            if tied and i == 0:  # loss_bound_check takes the tie, the threshold refuses it
+                with pytest.raises(ValueError, match="tied maximum"):
+                    stable_region_threshold(negatives, tau, 0.01)
+            elif not tied:  # the threshold takes the crowding the report does
+                assert stable_region_threshold(negatives, tau, 0.01) == \
+                    float(tau * math.log(rep.crowding / math.expm1(0.01)))
 
 
 # A block of one row, and of 93 rows: 93 divides none of the pair counts
