@@ -52,6 +52,8 @@ __all__ = [
     "gap_shift_sweep",
 ]
 
+_SHIFT_MODES = ("orthogonal", "in_span")  # gap_shift_sweep's shift directions
+
 # variant -> (collapse both sides, corruption mode of the train side or None)
 _VARIANTS = {
     "c1": (False, None),
@@ -151,6 +153,8 @@ def make_toy_task(
     Rows are split half/half into a train set (y side used) and a test set
     (x side used). Deterministic per seed.
     """
+    if not (1 <= span_dim <= d):
+        raise ValueError(f"span_dim must be in [1, {d}], got {span_dim}")
     if gap_norm < 0 or sigma_align < 0:
         raise ValueError("gap_norm and sigma_align must be non-negative")
     if gap_norm > 0 and span_dim >= d:
@@ -382,14 +386,14 @@ def gap_shift_sweep(
     norms = [float(c) for c in shift_norms]
     if any(c < 0 for c in norms) or sorted(norms) != norms:
         raise ValueError("shift norms must be non-negative and sorted")
-    if shift_mode == "orthogonal":
-        if task.gap_direction is None:
-            raise ValueError("span fills the whole space; no orthogonal shift direction exists")
-        direction = task.gap_direction
-    elif shift_mode == "in_span":
-        direction = task.span_basis[:, 0]
-    else:
+    if shift_mode not in _SHIFT_MODES:
         raise ValueError(f"unknown shift_mode {shift_mode!r}")
+    if shift_mode == "in_span":
+        direction = task.span_basis[:, 0]
+    elif task.gap_direction is None:
+        raise ValueError("span fills the whole space; no orthogonal shift direction exists")
+    else:
+        direction = task.gap_direction
 
     y_train = task.pairs.y.values[task.train_idx]
     decoder = train_decoder(_decode_inputs(y_train), task.targets[task.train_idx], lam)

@@ -1,26 +1,30 @@
 """Command-line experiment runner with deterministic JSON/CSV reports.
 
 Every command is one entry of ``_COMMANDS``: its runner, its defaults, the
-keys whose values must be positive and the values each enumerated string
-key may take. Parameters resolve from those defaults, overridden by an
-optional JSON config file (unknown keys rejected), overridden by the
-``--seed`` flag; ``--long-running`` sets train-sim's ``long_running`` key.
-Each value must have its default's type (an int default takes only an int,
-a float default a finite int or float, a list default a non-empty list of
+keys whose values must be positive, the values each enumerated string key
+may take, and its long-running preset (train-sim's full-scale run; empty
+elsewhere). Parameters resolve from those defaults (with the preset over
+them when ``long_running`` is true), overridden by an optional JSON config
+file (unknown keys rejected), overridden by the ``--seed`` flag;
+``--long-running`` sets the ``long_running`` key, which only train-sim has.
+Each value must have its default's type (an int default takes only an int, a
+float default a finite int or float, a list default a non-empty list of
 finite numbers), a positive key (``tau``, ``h``, every ``taus`` entry,
 ``seeds``, ``span_dim`` and the counts ``batches``, ``instances``,
-``depth`` and ``pairs_per_group``) must be > 0, ``seed`` must be >= 0,
-and an enumerated string key (``init``, ``gradient_form``, ``noise_mode``,
-``shift_mode`` and the file formats) must name one of its choices, or the
-command exits with status 2 before any work starts. The resolved config is
-echoed into every report, reports carry no timestamps, and float formatting
-is fixed, so rerunning a command with the same config and seed reproduces
-the report files byte for byte. No report file holds a NaN or an infinity:
-such a value fails the report before its directory is made. ``main`` runs
-the command with numpy's overflow, invalid and divide errors raised, never
-warned; a ValueError, OSError, ArithmeticError or MemoryError exits with
-status 2 and one line on stderr, and otherwise the exit status is 0 exactly
-when every check the command ran passed.
+``depth``, ``pairs_per_group`` and stable-region's ``n``) must be > 0,
+``seed`` must be >= 0, and an enumerated string key (``init``,
+``gradient_form``, ``noise_mode``, ``shift_mode`` and the file formats) must
+name one of its choices, or the command exits with status 2 before any work
+starts. The resolved config is echoed into every report, reports carry no
+timestamps, and float formatting is fixed, so rerunning a command with the
+same config and seed on the same BLAS build, CPU and BLAS thread count
+reproduces the report files byte for byte (exact-form train-sim differs in
+its last bits between one and two OpenBLAS threads). No report file holds a
+NaN or an infinity: such a value fails the report before its directory is
+made. ``main`` runs the command with numpy's overflow, invalid and divide
+errors raised, never warned; a ValueError, OSError, ArithmeticError or
+MemoryError exits with status 2 and one line on stderr, and otherwise the
+exit status is 0 exactly when every check the command ran passed.
 """
 
 from __future__ import annotations
@@ -35,15 +39,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bench, embio, worlds
-from .contrastive import (
-    ContrastiveBatch,
-    TrainerConfig,
-    _anchor_reports,
-    _forward,
-    _threshold,
-    exact_gradients,
-    train_contrastive,
-)
+from .contrastive import (_GRADIENT_FORMS, ContrastiveBatch, TrainerConfig, _anchor_reports,
+                          _forward, _threshold, exact_gradients, train_contrastive)
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, SpectralSummary, covariance,
                      l2_normalize_rows, spectral_summary)
 from .geometry import group_pairs, group_statistics, masked_gap_distance
@@ -100,26 +97,27 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _random_unit_batch(rng: np.random.Generator, n: int, d: int, tau: float) -> ContrastiveBatch:
+def _random_unit_pairs(rng: np.random.Generator, n: int, d: int) -> PairedEmbeddings:
+    """n pairs of random unit rows of width d; x is drawn before y."""
     x = l2_normalize_rows(rng.standard_normal((n, d)))
-    y = l2_normalize_rows(rng.standard_normal((n, d)))
-    return ContrastiveBatch(PairedEmbeddings(x=x, y=y), tau=tau)
+    return PairedEmbeddings(x=x, y=l2_normalize_rows(rng.standard_normal((n, d))))
 
 
 def finite_difference_gradients(batch: ContrastiveBatch, h: float = 1e-5):
     """Central-difference gradients of the contrastive loss (the one
-    ``contrastive._forward`` computes), entry by entry."""
-    xy = (batch.pairs.x.values, batch.pairs.y.values)
+    ``contrastive._forward`` computes), entry by entry: each entry of a copy
+    of the batch is moved to entry +- h and then restored."""
+    xy = (batch.pairs.x.values.copy(), batch.pairs.y.values.copy())
     grads = []
-    for side, base in enumerate(xy):
-        g = np.zeros_like(base)
-        for i, j in np.ndindex(base.shape):
+    for a in xy:
+        g = np.zeros_like(a)
+        for i, j in np.ndindex(a.shape):
+            entry = a[i, j]
             losses = []
             for step in (h, -h):
-                moved = list(xy)
-                moved[side] = base.copy()
-                moved[side][i, j] += step
-                losses.append(_forward(*moved, batch.tau)[2])
+                a[i, j] = entry + step
+                losses.append(_forward(*xy, batch.tau)[2])
+            a[i, j] = entry
             g[i, j] = (losses[0] - losses[1]) / (2 * h)
         grads.append(g)
     return grads[0], grads[1]
@@ -160,23 +158,13 @@ def _cmd_simulate_init(p):
         "masked_gap_near_0.99": abs(masked - 0.99) <= 0.1,
         "rank_dims_exact": sx.effective_dim == p["dex"] and sy.effective_dim == p["dey"],
     }
-    var_rows = [
-        (
-            i,
-            w.pre_norm_x[:, i].var(),
-            w.pre_norm_y[:, i].var(),
-            w.pairs.x.values[:, i].var(),
-            w.pairs.y.values[:, i].var(),
-        )
-        for i in range(p["d"])
-    ]
-    tables = [
-        (
-            "variance",
-            ["dim", "var_x_prenorm", "var_y_prenorm", "var_x", "var_y"],
-            var_rows,
-        )
-    ]
+    # Each dimension as one contiguous row: numpy sums a row pairwise, as it sums
+    # the column slice m[:, i], so every variance keeps the bits of a per-column
+    # .var(); m.var(axis=0) adds down the columns sequentially and moves last bits.
+    variances = [np.ascontiguousarray(m.T).var(axis=1) for m in
+                 (w.pre_norm_x, w.pre_norm_y, w.pairs.x.values, w.pairs.y.values)]
+    tables = [("variance", ["dim", "var_x_prenorm", "var_y_prenorm", "var_x", "var_y"],
+               list(zip(range(p["d"]), *variances)))]
     return results, checks, tables
 
 
@@ -230,7 +218,7 @@ def _cmd_verify_gradients(p):
         tau = taus[b % len(taus)]
         n = int(rng.integers(2, p["max_n"] + 1))
         d = int(rng.integers(2, p["max_d"] + 1))
-        batch = _random_unit_batch(rng, n, d, tau)
+        batch = ContrastiveBatch(_random_unit_pairs(rng, n, d), tau)
         exact = exact_gradients(batch)
         fd_x, fd_y = finite_difference_gradients(batch, p["h"])
         err = max(_max_rel_error(fd_x, exact.grad_x), _max_rel_error(fd_y, exact.grad_y))
@@ -251,30 +239,26 @@ def _cmd_stable_region(p):
     rows = []
     violations = 0
     mono_failures = 0
-    done = 0
-    while done < p["instances"]:
-        x = l2_normalize_rows(rng.standard_normal((p["n"], p["d"]))).values
-        y = l2_normalize_rows(rng.standard_normal((p["n"], p["d"]))).values
-        for i in range(p["n"]):
-            if done >= p["instances"]:
-                break
-            sims = x[i] @ y.T
-            reports = _anchor_reports(sims, i, taus, delta)
-            sims[i] = -np.inf  # the threshold needs a unique hardest negative
-            if np.count_nonzero(sims == sims.max()) > 1:
-                raise ValueError("similarity profile has a tied maximum")
-            thresholds = []
-            for tau, rep in zip(taus, reports):
-                thr = _threshold(tau, rep.crowding, delta)
-                thresholds.append(thr)
-                if rep.loss_i > rep.bound:
-                    violations += 1
-                rows.append((done, tau, rep.margin, rep.crowding, thr,
-                             rep.loss_i, rep.bound, rep.in_stable_region))
-            if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-                mono_failures += 1
-            done += 1
-    results = {"instances": done, "bound_violations": violations,
+    for done in range(p["instances"]):
+        i = done % p["n"]  # anchor i of the current batch; a new batch every n instances
+        if i == 0:
+            pairs = _random_unit_pairs(rng, p["n"], p["d"])
+        sims = pairs.x.values[i] @ pairs.y.values.T
+        reports = _anchor_reports(sims, i, taus, delta)
+        sims[i] = -np.inf  # the threshold needs a unique hardest negative
+        if np.count_nonzero(sims == sims.max()) > 1:
+            raise ValueError("similarity profile has a tied maximum")
+        thresholds = []
+        for tau, rep in zip(taus, reports):
+            thr = _threshold(tau, rep.crowding, delta)
+            thresholds.append(thr)
+            if rep.loss_i > rep.bound:
+                violations += 1
+            rows.append((done, tau, rep.margin, rep.crowding, thr,
+                         rep.loss_i, rep.bound, rep.in_stable_region))
+        if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+            mono_failures += 1
+    results = {"instances": p["instances"], "bound_violations": violations,
                "threshold_monotonicity_failures": mono_failures}
     checks = {"no_bound_violations": violations == 0,
               "threshold_monotone_in_tau": mono_failures == 0}
@@ -286,8 +270,6 @@ def _cmd_stable_region(p):
 
 def _cmd_mlp_collapse(p):
     rows = []
-    eff = {}
-    cone = {}
     for s in range(p["seeds"]):
         cfg = worlds.MlpSimConfig(
             depth=p["depth"], width=p["width"], n_inputs=p["n_inputs"],
@@ -296,14 +278,12 @@ def _cmd_mlp_collapse(p):
         for probe in worlds.mlp_collapse_sim(cfg):
             rows.append((p["seed"] + s, probe.layer, probe.effective_dim,
                          probe.cone_mean, probe.cone_std, probe.dead))
-            eff.setdefault(probe.layer, []).append(probe.effective_dim)
-            cone.setdefault(probe.layer, []).append(probe.cone_mean)
-    layers = sorted(eff)
-    post = [l for l in layers if l > 0]
-    eff_means = {l: float(np.mean(eff[l])) for l in layers}
-    cone_means = {l: float(np.mean(cone[l])) for l in layers}
-    eff_seq = [eff_means[l] for l in post]
-    cone_seq = [cone_means[l] for l in post]
+    layers = sorted({row[1] for row in rows})
+    # per-layer means of the effective_dim and cone_mean columns, in seed order
+    eff_means, cone_means = ({l: float(np.mean([row[col] for row in rows if row[1] == l]))
+                              for l in layers} for col in (2, 3))
+    eff_seq = [eff_means[l] for l in layers if l > 0]
+    cone_seq = [cone_means[l] for l in layers if l > 0]
     results = {"effective_dim_mean": {str(l): eff_means[l] for l in layers},
                "cone_mean": {str(l): cone_means[l] for l in layers}}
     checks = {
@@ -358,14 +338,9 @@ def _cmd_c3_bench(p):
                                         tuple(p["sigma_grid"]), p["lam"], in_modality=True)
     by = {r.variant: r for r in rows}
     sanity = float(np.mean(in_modality))
-    results = {
-        "rows": [
-            {"variant": r.variant, "train_sigma": r.train_sigma,
-             "mean": r.mean, "std": r.std, "seeds": r.seeds}
-            for r in rows
-        ],
-        "in_modality_mean": sanity,
-    }
+    header = ["variant", "train_sigma", "mean", "std", "seeds"]
+    table = [(r.variant, r.train_sigma, r.mean, r.std, r.seeds) for r in rows]
+    results = {"rows": [dict(zip(header, row)) for row in table], "in_modality_mean": sanity}
     c1, c21, c22, span, c3 = (by[v].mean for v in ("c1", "c21", "c22", "c22_span", "c3"))
     checks = {
         "c3_ge_c21": c3 >= c21,
@@ -374,8 +349,7 @@ def _cmd_c3_bench(p):
         "span_within_0.05_of_c21": abs(span - c21) <= 0.05,
         "no_transfer_beats_in_modality": sanity >= c3,
     }
-    tables = [("ablation", ["variant", "train_sigma", "mean", "std", "seeds"],
-               [(r.variant, r.train_sigma, r.mean, r.std, r.seeds) for r in rows])]
+    tables = [("ablation", header, table)]
     return results, checks, tables
 
 
@@ -411,13 +385,10 @@ class _Command(NamedTuple):
     defaults: dict
     positive: tuple = ()  # keys whose value, or every entry of whose list, must be > 0
     choices: dict = {}  # string keys and the values each may take
+    long_running: dict = {}  # what a true ``long_running`` puts over the defaults
 
 
 _FORMATS = tuple(embio._FORMATS)
-
-# what a true ``long_running`` puts over train-sim's defaults: the full-scale run
-_LONG_RUNNING = {"n": 1000, "steps": 200000, "renormalize_each_step": True,
-                 "gradient_form": "exact", "init": "unit"}
 
 _COMMANDS = {
     "simulate-init": _Command(_cmd_simulate_init, {
@@ -427,13 +398,15 @@ _COMMANDS = {
         "steps": 20000, "record_every": 100, "renormalize_each_step": False,
         "gradient_form": "span", "init": "prenorm", "long_running": False, "seed": 0},
         positive=("tau",),
-        choices={"gradient_form": ("exact", "span"), "init": ("unit", "prenorm")}),
+        choices={"gradient_form": _GRADIENT_FORMS, "init": ("unit", "prenorm")},
+        long_running={"n": 1000, "steps": 200000, "renormalize_each_step": True,
+                      "gradient_form": "exact", "init": "unit"}),
     "verify-gradients": _Command(_cmd_verify_gradients, {
         "batches": 100, "max_n": 8, "max_d": 16, "taus": [0.01, 0.07, 0.5], "h": 1e-5,
         "seed": 0}, positive=("batches", "taus", "h")),
     "stable-region": _Command(_cmd_stable_region, {
         "n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01, "instances": 1000,
-        "seed": 0}, positive=("taus", "instances")),
+        "seed": 0}, positive=("taus", "instances", "n")),
     "mlp-collapse": _Command(_cmd_mlp_collapse, {
         "depth": 20, "width": 512, "n_inputs": 1000, "probe_stride": 5, "seeds": 5,
         "gamma": 0.99, "seed": 0}, positive=("depth", "seeds")),
@@ -442,7 +415,7 @@ _COMMANDS = {
         "noise_mode": "full", "group_size": 100, "pairs_per_group": 1000,
         "x_file": "", "y_file": "", "file_format": "mmeb", "seed": 0},
         positive=("pairs_per_group",),
-        choices={"noise_mode": ("full", "span"), "file_format": _FORMATS}),
+        choices={"noise_mode": worlds._NOISE_MODES, "file_format": _FORMATS}),
     "c3-bench": _Command(_cmd_c3_bench, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": [0.01, 0.05, 0.1, 0.2],
@@ -452,7 +425,7 @@ _COMMANDS = {
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
         "shifts": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
         "shift_mode": "orthogonal", "seed": 0}, positive=("seeds", "span_dim"),
-        choices={"shift_mode": ("orthogonal", "in_span")}),
+        choices={"shift_mode": bench._SHIFT_MODES}),
     "export": _Command(_cmd_export, {
         "in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv", "seed": 0},
         choices={"in_format": _FORMATS, "out_format": _FORMATS}),
@@ -473,7 +446,7 @@ def _check_config(command: str, params: dict) -> None:
     """Raise ValueError unless ``params`` has exactly the command's keys, typed as its
     defaults, its positive keys > 0, its seed >= 0 and its choice keys one of their
     values."""
-    _, defaults, positive, choices = _COMMANDS[command]
+    _, defaults, positive, choices, _ = _COMMANDS[command]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
@@ -498,8 +471,9 @@ def _check_config(command: str, params: dict) -> None:
 
 def resolve_config(command: str, config_path: str | None, seed: int | None,
                    long_running: bool = False) -> dict:
-    """Defaults (with ``_LONG_RUNNING`` over them when the flag or the file sets
-    ``long_running``), overridden by the JSON config file, overridden by --seed."""
+    """Defaults (with the command's ``long_running`` preset over them when the flag
+    or the file sets ``long_running``), overridden by the JSON config file,
+    overridden by --seed."""
     params = dict(_COMMANDS[command].defaults)
     loaded = {}
     if config_path:
@@ -509,8 +483,8 @@ def resolve_config(command: str, config_path: str | None, seed: int | None,
             raise ValueError(f"config file {config_path} must hold a JSON object")
     if long_running:
         loaded["long_running"] = True
-    if "long_running" in params and loaded.get("long_running") is True:
-        params.update(_LONG_RUNNING)
+    if loaded.get("long_running") is True:
+        params.update(_COMMANDS[command].long_running)
     params.update(loaded)
     if seed is not None:
         params["seed"] = seed

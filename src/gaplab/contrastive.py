@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EmbeddingMatrix, PairedEmbeddings, _first_nonfinite, _normalize_rows_inplace,
-                     l2_normalize_rows)
+from .linalg import (EmbeddingMatrix, PairedEmbeddings, _checked_mask, _first_nonfinite,
+                     _normalize_rows_inplace, l2_normalize_rows)
 
 __all__ = [
     "ContrastiveBatch",
@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 DEFAULT_TAU = 0.07
+_GRADIENT_FORMS = ("exact", "span")
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` (a temperature or a delta) is > 0 and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,7 @@ class ContrastiveBatch:
     def __post_init__(self):
         if not (self.pairs.x.unit_norm and self.pairs.y.unit_norm):
             raise ValueError("contrastive batch requires unit-norm embeddings on both sides")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"temperature must be positive and finite, got {self.tau}")
+        _check_positive_finite("temperature", self.tau)
 
     @property
     def n(self) -> int:
@@ -244,8 +250,9 @@ class TrainerConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.gradient_form not in ("exact", "span"):
-            raise ValueError(f"gradient_form must be 'exact' or 'span', got {self.gradient_form!r}")
+        if self.gradient_form not in _GRADIENT_FORMS:
+            raise ValueError(f"gradient_form must be one of {', '.join(_GRADIENT_FORMS)}, "
+                             f"got {self.gradient_form!r}")
 
 
 @dataclass(frozen=True)
@@ -268,19 +275,6 @@ class TrainingRecord:
 class TrainingResult:
     trajectory: list[TrainingRecord]
     final: PairedEmbeddings
-
-
-def _checked_mask(masked_dims, d: int) -> np.ndarray:
-    """``masked_dims`` as an intp array, or ValueError unless it is a
-    non-empty 1-d array of integer dimensions in [0, d)."""
-    mask = np.asarray(masked_dims)
-    if mask.ndim != 1 or mask.size == 0 or not np.issubdtype(mask.dtype, np.integer):
-        raise ValueError("masked_dims must be a non-empty 1-d array of integer dimensions, "
-                         f"got shape {mask.shape} of dtype {mask.dtype}")
-    lo, hi = int(mask.min()), int(mask.max())
-    if lo < 0 or hi >= d:
-        raise ValueError(f"masked_dims must lie in [0, {d}), got dimensions {lo} to {hi}")
-    return mask.astype(np.intp, copy=False)
 
 
 def train_contrastive(
@@ -310,11 +304,12 @@ def train_contrastive(
     Raises
     ------
     ValueError
-        If ``masked_dims`` is empty, not a 1-d array of integers, or holds a
-        dimension outside [0, d).
+        If ``tau`` is not positive and finite, or ``masked_dims`` is empty,
+        not a 1-d array of integers, or holds a dimension outside [0, d).
     FloatingPointError
         If the loss or an update turns non-finite (reported with its step).
     """
+    _check_positive_finite("temperature", tau)
     if cfg.renormalize_each_step and not (init.x.unit_norm and init.y.unit_norm):
         raise ValueError("projected descent requires unit-norm initial embeddings")
     n, d = init.n, init.d
@@ -403,13 +398,11 @@ def stable_region_threshold(similarities, tau: float, delta: float) -> float:
     non-positive threshold means any margin suffices. The argmax must be
     unique: a tied maximum is rejected.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_positive_finite("temperature", tau)
+    _check_positive_finite("delta", delta)
     t = np.asarray(similarities, dtype=np.float64).ravel()
     if t.size < 1:
         raise ValueError("empty similarity profile")
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
     if np.count_nonzero(t == t.max()) > 1:
         raise ValueError("similarity profile has a tied maximum")
     m = int(np.argmax(t))
@@ -438,8 +431,7 @@ def _anchor_reports(sims: np.ndarray, i: int, taus, delta: float) -> list[Stable
         raise ValueError("an anchor needs at least one negative (n >= 2)")
     if not (0 <= i < n):
         raise IndexError(f"row {i} out of range for n={n}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_positive_finite("delta", delta)
     negatives = np.delete(sims, i)
     m = int(np.argmax(negatives))
     r = float(sims[i] - negatives[m])

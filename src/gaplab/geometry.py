@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PairedEmbeddings, _index_pairs, _pair_cosines, _row_blocks, as_array
+from .linalg import (PairedEmbeddings, _checked_mask, _index_pairs, _pair_cosines, _row_blocks,
+                     as_array)
 
 __all__ = [
     "PairGroups",
@@ -191,12 +192,10 @@ def estimate_gap_vector(pairs: PairedEmbeddings) -> np.ndarray:
 
 
 def masked_gap_distance(pairs: PairedEmbeddings, mask) -> float:
-    """L2 distance between the modality means restricted to ``mask`` dimensions."""
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        raise ValueError("mask must select at least one dimension")
-    diff = estimate_gap_vector(pairs)
-    return float(np.linalg.norm(diff[mask]))
+    """L2 distance between the modality means restricted to ``mask`` dimensions,
+    a non-empty 1-d array of integer dimensions in [0, d) (ValueError otherwise)."""
+    mask = _checked_mask(mask, pairs.d)
+    return float(np.linalg.norm(estimate_gap_vector(pairs)[mask]))
 
 
 def per_dim_variance(m) -> np.ndarray:

@@ -224,6 +224,19 @@ def spectral_summary(c: np.ndarray, gamma: float = DEFAULT_GAMMA) -> SpectralSum
     return SpectralSummary(singular_values=s, gamma=gamma)
 
 
+def _checked_mask(masked_dims, d: int) -> np.ndarray:
+    """``masked_dims`` as an intp array, or ValueError unless it is a
+    non-empty 1-d array of integer dimensions in [0, d)."""
+    mask = np.asarray(masked_dims)
+    if mask.ndim != 1 or mask.size == 0 or not np.issubdtype(mask.dtype, np.integer):
+        raise ValueError("masked_dims must be a non-empty 1-d array of integer dimensions, "
+                         f"got shape {mask.shape} of dtype {mask.dtype}")
+    lo, hi = int(mask.min()), int(mask.max())
+    if lo < 0 or hi >= d:
+        raise ValueError(f"masked_dims must lie in [0, {d}), got dimensions {lo} to {hi}")
+    return mask.astype(np.intp, copy=False)
+
+
 def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     """A random d x k matrix with orthonormal columns (QR of a Gaussian, signs fixed)."""
     q, r = np.linalg.qr(rng.standard_normal((d, k)))

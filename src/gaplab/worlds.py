@@ -45,6 +45,8 @@ __all__ = [
     "mlp_collapse_sim",
 ]
 
+_NOISE_MODES = ("full", "span")
+
 
 @dataclass(frozen=True)
 class GapWorld:
@@ -95,7 +97,7 @@ def make_gap_world(
         raise ValueError("gap_norm and sigma must be non-negative")
     if gap_norm > 0 and span_dim == d:
         raise ValueError("no orthogonal complement left for the gap: span_dim == d")
-    if noise_mode not in ("full", "span"):
+    if noise_mode not in _NOISE_MODES:
         raise ValueError(f"unknown noise_mode {noise_mode!r}")
 
     rng = np.random.default_rng(seed)

@@ -92,6 +92,11 @@ class TestToyTask:
         with pytest.raises(ValueError, match="latent kind|4 classes"):
             bench.LatentSpec(*latent)
 
+    @pytest.mark.parametrize("span_dim", [17, 0])
+    def test_span_dim_must_fit(self, span_dim):
+        with pytest.raises(ValueError, match=rf"span_dim must be in \[1, 16\], got {span_dim}"):
+            make_toy_task(n=200, d=16, span_dim=span_dim, gap_norm=0.0)
+
     def test_gap_needs_orthogonal_room(self):
         with pytest.raises(ValueError, match="span_dim"):
             make_toy_task(n=100, d=16, span_dim=16, gap_norm=0.5, sigma_align=0.0)

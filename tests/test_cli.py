@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import bench, cli, contrastive
+from gaplab import bench, cli, contrastive, worlds
 from gaplab.contrastive import ContrastiveBatch, loss_bound_check, stable_region_threshold
 from gaplab.cli import main, resolve_config
 from gaplab.embio import DTYPE_FLOAT32, MAGIC, VERSION, read_csv, write_mmeb
 from gaplab.linalg import PairedEmbeddings, l2_normalize_rows
+from gaplab.worlds import make_collapsed_init_world
 
 
 def report_bytes(out_dir):
@@ -90,6 +91,7 @@ class TestConfigTypes:
         ("mlp-collapse", {"seeds": 0}),
         ("c3-bench", {"seeds": -1}),
         ("stable-region", {"instances": 0}),
+        ("stable-region", {"n": 0}),
         ("verify-gradients", {"batches": 0}),
         ("mlp-collapse", {"depth": 0}),
         ("gap-stats", {"n": 2000, "pairs_per_group": 0}),
@@ -170,8 +172,30 @@ class TestConfigTypes:
                               [("curve", ["shift", "metric"], rows)], fmt)
         assert not out.exists()
 
-    def test_long_running_flag_only_for_train_sim(self, capsys, tmp_path):
-        exits_2_with_one_line(capsys, tmp_path, "stable-region", {}, "--long-running")
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"train-sim"}))
+    def test_long_running_flag_only_for_train_sim(self, capsys, tmp_path, command):
+        err = exits_2_with_one_line(capsys, tmp_path, command, {}, "--long-running")
+        assert err == f"gaplab {command}: error: unknown config keys for {command}: long_running\n"
+
+    def test_long_running_preset_is_train_sims_entry(self, monkeypatch):
+        entry = cli._COMMANDS["train-sim"]
+        monkeypatch.setitem(cli._COMMANDS, "train-sim",
+                            entry._replace(long_running={"n": 3, "steps": 7}))
+        params = resolve_config("train-sim", None, None, long_running=True)
+        assert params == dict(entry.defaults, n=3, steps=7, long_running=True)
+        assert resolve_config("train-sim", None, None) == entry.defaults
+        assert [c for c, e in cli._COMMANDS.items() if e.long_running] == ["train-sim"]
+
+    def test_choice_lists_come_from_the_layers_that_check_them(self):
+        assert cli._COMMANDS["train-sim"].choices["gradient_form"] is contrastive._GRADIENT_FORMS
+        assert cli._COMMANDS["gap-stats"].choices["noise_mode"] is worlds._NOISE_MODES
+        assert cli._COMMANDS["shift-sweep"].choices["shift_mode"] is bench._SHIFT_MODES
+
+    @pytest.mark.parametrize("command", ["shift-sweep", "c3-bench"])
+    def test_span_dim_wider_than_d_exits_2(self, capsys, tmp_path, command):
+        err = exits_2_with_one_line(capsys, tmp_path, command,
+                                    {"span_dim": 100, "n": 200, "seeds": 1})
+        assert "span_dim must be in [1, 64], got 100" in err
 
     def test_run_command_checks_params(self, tmp_path):
         params = dict(resolve_config("train-sim", None, None), steps=1.5)
@@ -197,6 +221,24 @@ class TestCommands:
         main(["c3-bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert built == [0, 1, 2, 3, 4]  # one per seed; none rebuilt for in_modality_mean
 
+    def test_simulate_init_variances_match_a_per_column_var(self, tmp_path):
+        # bit for bit: a column's .var() sums pairwise, m.var(axis=0) does not
+        config = {"n": 300, "d": 64, "dex": 5, "dey": 30}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        main(["simulate-init", "--config", str(cfg), "--out", str(out), "--seed", "3"])
+        w = make_collapsed_init_world(seed=3, **config)
+        expected = [[i] + [m[:, i].var() for m in (w.pre_norm_x, w.pre_norm_y,
+                                                    w.pairs.x.values, w.pairs.y.values)]
+                    for i in range(64)]
+        lines = [line for line in (out / "simulate-init.variance.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == "dim,var_x_prenorm,var_y_prenorm,var_x,var_y"
+        got = [[int(v) if k == 0 else float(v) for k, v in enumerate(line.split(","))]
+               for line in lines[1:]]
+        assert got == expected
+
     def test_verify_gradients_passes(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"batches": 9}))
@@ -218,26 +260,29 @@ class TestCommands:
         doc = json.loads((out / "stable-region.json").read_text())
         assert doc["results"]["bound_violations"] == 0
 
-    def test_stable_region_forms_each_row_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("instances", [10, 7])
+    def test_stable_region_forms_each_row_once(self, tmp_path, monkeypatch, instances):
         # one kernel call per instance, shared by every tau, and the report's
         # figures equal loss_bound_check's and stable_region_threshold's on the
-        # same batch
+        # same batch; a new batch of 5 every 5 instances, the last one cut short
         calls = []
         kernel = cli._anchor_reports
         monkeypatch.setattr(cli, "_anchor_reports",
                             lambda *a: calls.append((a[1], tuple(a[2]))) or kernel(*a))
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"instances": 10, "n": 5, "d": 6}))
+        cfg.write_text(json.dumps({"instances": instances, "n": 5, "d": 6}))
         out = tmp_path / "out"
         assert main(["stable-region", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
         taus = resolve_config("stable-region", None, None)["taus"]
-        assert calls == [(i, tuple(taus)) for i in [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]]
+        assert calls == [(i % 5, tuple(taus)) for i in range(instances)]
+        doc = json.loads((out / "stable-region.json").read_text())
+        assert doc["results"]["instances"] == instances
         rng = np.random.default_rng(7)
         expected = []
         for batch_no in range(2):
             x = l2_normalize_rows(rng.standard_normal((5, 6)))
             y = l2_normalize_rows(rng.standard_normal((5, 6)))
-            for i in range(5):
+            for i in range(min(5, instances - 5 * batch_no)):
                 negatives = np.delete(x.values[i] @ y.values.T, i)
                 for tau in taus:
                     rep = loss_bound_check(ContrastiveBatch(PairedEmbeddings(x=x, y=y), tau), i, 0.01)

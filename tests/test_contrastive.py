@@ -712,3 +712,41 @@ class TestMaskedDimsChecked:
         w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
         with pytest.raises(ValueError, match=message):
             train_contrastive(w.pairs, 0.07, TrainerConfig(steps=2), masked_dims=masked_dims)
+
+
+class TestTemperatureAndDeltaChecked:
+    """One rule, "positive and finite", for every temperature and delta."""
+
+    BAD = [-0.07, 0.0, math.inf, math.nan]
+
+    @pytest.mark.parametrize("tau", BAD)
+    def test_trainer_rejects_tau_before_the_first_step(self, monkeypatch, tau):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before tau was checked")
+
+        monkeypatch.setattr(contrastive, "_gradients", no_step)
+        w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            train_contrastive(w.pairs, tau, TrainerConfig(steps=50, renormalize_each_step=False))
+
+    @pytest.mark.parametrize("tau", BAD)
+    def test_batch_rejects_tau(self, tau):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            unit_batch(np.random.default_rng(30), 3, 4, tau=tau)
+
+    @pytest.mark.parametrize("tau,delta,name", [
+        *[(tau, 0.01, "temperature") for tau in BAD],
+        *[(0.07, delta, "delta") for delta in BAD],
+    ])
+    def test_threshold_rejects(self, tau, delta, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            stable_region_threshold([0.9, 0.1, -0.2], tau, delta)
+
+    @pytest.mark.parametrize("delta", BAD)
+    def test_anchor_kernel_rejects_delta(self, delta):
+        batch = unit_batch(np.random.default_rng(31), 3, 4)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            loss_bound_check(batch, 0, delta)
+        sims = batch.pairs.x.values[0] @ batch.pairs.y.values.T
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            contrastive._anchor_reports(sims, 0, (0.07, 0.5), delta)

@@ -150,6 +150,19 @@ class TestMaskedGap:
         with pytest.raises(ValueError, match="mask"):
             masked_gap_distance(w.pairs, np.array([], dtype=int))
 
+    # plain indexing would wrap -1 to dimension 7, raise IndexError on 8 and
+    # read a boolean mask as a selection of 4 dimensions
+    @pytest.mark.parametrize("mask,message", [
+        ([-1], r"must lie in \[0, 8\)"),
+        ([8], r"must lie in \[0, 8\)"),
+        ([True] * 4 + [False] * 4, "non-empty 1-d array of integer"),
+        ([[2, 5]], "non-empty 1-d array of integer"),
+    ])
+    def test_mask_checked_as_the_trainer_checks_it(self, mask, message):
+        w = make_gap_world(n=20, d=8, span_dim=3, gap_norm=0.1, sigma=0.0, seed=0)
+        with pytest.raises(ValueError, match=message):
+            masked_gap_distance(w.pairs, mask)
+
 
 class TestPerDimVariance:
     def test_constant_dims_zero(self):

@@ -1,0 +1,136 @@
+"""Compare every gaplab command's reports between the working tree and a revision.
+
+    python tools/report_diff.py --base REV [--seed N ...]
+
+REV's committed files are unpacked (``git archive``) under the git-ignored
+``tools/out/report-diff/``, which each run empties first. Every command in
+either tree's ``cli._COMMANDS`` runs at its defaults in both trees, once per
+seed (default 0), as ``python -m gaplab`` with that tree's ``src`` on
+PYTHONPATH. Two runs on files are added: ``export`` converts an MMEB file
+that this script writes to CSV, and ``gap-stats`` analyzes a pair of such
+files. The configs name those files by paths relative to the run directory,
+so both trees echo the same config.
+
+For each run the script prints whether the two exit statuses and the two run
+directories (reports and exported files) are identical, and lists every file
+that differs or exists on one side only. It exits 0 only when everything is
+identical, 1 when anything differs and 2 when REV cannot be unpacked.
+Standard library only; train-sim at its defaults takes 1-2 min a side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import random
+import shutil
+import struct
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / "tools" / "out" / "report-diff"
+INPUT_ROWS, INPUT_COLS = 1000, 32  # ten groups of gap-stats' default 100 pairs
+INPUT_PATH = "../../../inputs/{}.mmeb"  # from WORK/<side>/seed<N>/<run>/
+
+
+def _unpack(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+
+def _commands(tree: Path) -> list[str]:
+    code = "import json, sys; from gaplab import cli; json.dump(sorted(cli._COMMANDS), sys.stdout)"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(tree), check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _write_mmeb(path: Path, seed: int) -> None:
+    """An MMEB file (28-byte header, float32 payload) of seeded Gaussian rows."""
+    rng = random.Random(seed)
+    values = [rng.gauss(0.0, 1.0) for _ in range(INPUT_ROWS * INPUT_COLS)]
+    path.write_bytes(struct.pack("<4sIQQI", b"MMEB", 1, INPUT_ROWS, INPUT_COLS, 1)
+                     + struct.pack(f"<{len(values)}f", *values))
+
+
+def _run(tree: Path, run_dir: Path, command: str, config: dict | None, seed: int) -> int:
+    run_dir.mkdir(parents=True)
+    args = [sys.executable, "-m", "gaplab", command, "--seed", str(seed), "--out", "reports"]
+    if config is not None:
+        cfg = run_dir.with_suffix(".json")  # beside the run directory, not compared
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    return subprocess.run(args, cwd=run_dir, env=_env(tree), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _files(d: Path) -> dict:
+    return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*"))
+            if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--seed", type=int, nargs="+", default=[0], help="seeds to run at")
+    args = parser.parse_args(argv)
+
+    shutil.rmtree(WORK, ignore_errors=True)
+    base = WORK / "base-tree"
+    try:
+        _unpack(args.base, base)
+    except subprocess.CalledProcessError as exc:
+        print(f"report_diff: cannot unpack {args.base}: {exc.stderr.decode().strip()}",
+              file=sys.stderr)
+        return 2
+    trees = {"base": base, "change": ROOT}
+    (WORK / "inputs").mkdir()
+    for name, seed in (("x", 1), ("y", 2)):
+        _write_mmeb(WORK / "inputs" / f"{name}.mmeb", seed)
+    runs = [(c, c, None) for c in sorted(set(_commands(base)) | set(_commands(ROOT)))]
+    runs += [("export-mmeb-csv", "export",
+              {"in_file": INPUT_PATH.format("x"), "out_file": "x.csv"}),
+             ("gap-stats-files", "gap-stats",
+              {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")})]
+
+    differing = 0
+    for seed in args.seed:
+        for name, command, config in runs:
+            dirs = {side: WORK / side / f"seed{seed}" / name for side in trees}
+            status = {side: _run(tree, dirs[side], command, config, seed)
+                      for side, tree in trees.items()}
+            files = {side: _files(d) for side, d in dirs.items()}
+            notes = []
+            if status["base"] != status["change"]:
+                notes.append(f"exit status: base {status['base']}, change {status['change']}")
+            for path in sorted(set(files["base"]) | set(files["change"])):
+                if path not in files["change"]:
+                    notes.append(f"only in base: {path}")
+                elif path not in files["base"]:
+                    notes.append(f"only in change: {path}")
+                elif files["base"][path] != files["change"][path]:
+                    notes.append(f"differs: {path}")
+            verdict = "DIFFERS" if notes else "identical"
+            print(f"seed {seed} {name}: {verdict} (exit {status['base']}, "
+                  f"{len(files['base'])} files)", flush=True)
+            for note in notes:
+                print(f"  {note}", flush=True)
+            differing += bool(notes)
+    total = len(args.seed) * len(runs)
+    print(f"{total - differing} of {total} runs identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
