@@ -29,13 +29,13 @@ accuracy smoothly rather than not at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse
-from .linalg import EmbeddingMatrix, PairedEmbeddings, _orthonormal_columns, l2_normalize_rows
+from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_nonnegative_finite,
+                     _check_positive_finite, _gap_frame, _orthonormal_columns, l2_normalize_rows)
 
 __all__ = [
     "LatentSpec",
@@ -153,19 +153,12 @@ def make_toy_task(
     Rows are split half/half into a train set (y side used) and a test set
     (x side used). Deterministic per seed.
     """
-    if not (1 <= span_dim <= d):
-        raise ValueError(f"span_dim must be in [1, {d}], got {span_dim}")
-    if gap_norm < 0 or sigma_align < 0:
-        raise ValueError("gap_norm and sigma_align must be non-negative")
-    if gap_norm > 0 and span_dim >= d:
-        raise ValueError("no orthogonal direction left for the gap: span_dim >= d")
+    _check_nonnegative_finite("sigma_align", sigma_align)
     if n < 40:
         raise ValueError("need at least 40 samples for a meaningful split")
 
     rng = np.random.default_rng(seed)
-    q = _orthonormal_columns(rng, d, span_dim + (1 if span_dim < d else 0))
-    basis = q[:, :span_dim]
-    gap_dir = q[:, span_dim] if span_dim < d else None
+    basis, gap_dir = _gap_frame(rng, d, span_dim, gap_norm)
 
     codes = _class_codes(rng, latent.size)
     m = codes.shape[1]
@@ -213,11 +206,10 @@ class RidgeDecoder:
 def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) -> RidgeDecoder:
     """Solve (X'X + lam I) W = X'T on centered data, bias from the means.
 
-    ``lam`` must be strictly positive so the normal equations are always
+    ``lam`` must be positive and finite so the normal equations are always
     well posed.
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"ridge penalty must be positive, got {lam}")
+    _check_positive_finite("lam", lam)
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:

@@ -12,24 +12,23 @@ alongside it and row-parallel execution stays deterministic. Row i's
 stream is exactly ``np.random.default_rng(np.random.SeedSequence([seed,
 i]))``, so a consumer with numpy alone can reproduce any row; the seed must
 be a non-negative integer. The generator keys of a block of rows are
-derived at once, by SeedSequence's hash in vectorized uint32 arithmetic,
-and each row sets its key on one reused PCG64 instead of building a
-SeedSequence, a PCG64 and a Generator of its own. The keyed draw is
-unit-variance and independent of sigma and mode, so one draw serves every
-noise level: ``corrupt`` draws it and scales it, and the ablation in
-``bench`` draws it once per seed and scales the same block for every
-corrupting variant and sigma, through the same ``_add_noise``.
+derived at once, by SeedSequence's hash in vectorized uint32 arithmetic;
+each row sets its key as the state of one reused PCG64 and draws its normals
+through one Generator on it. The keyed draw is unit-variance and independent
+of sigma and mode, so one draw serves every noise level: ``corrupt`` draws
+it and scales it, and the ablation in ``bench`` draws it once per seed and
+scales the same block for every corrupting variant and sigma, through the
+same ``_add_noise``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_array
+from .linalg import UNIT_NORM_TOL, _check_nonnegative_finite, as_array
 
 __all__ = [
     "C3Config",
@@ -54,15 +53,14 @@ class C3Config:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        _check_nonnegative_finite("sigma", self.sigma)
         if self.mode not in (MODE_FULL, MODE_SPAN_ONLY):
             raise ValueError(f"unknown corruption mode {self.mode!r}")
         if self.mode == MODE_SPAN_ONLY:
             if self.gap_direction is None:
                 raise ValueError("span_only corruption requires a gap_direction")
             g = np.asarray(self.gap_direction, dtype=np.float64).ravel()
-            if abs(np.linalg.norm(g) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(g) - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
                 raise ValueError("gap_direction must be unit-norm")
             object.__setattr__(self, "gap_direction", g)
 

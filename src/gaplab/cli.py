@@ -40,10 +40,11 @@ import numpy as np
 
 from . import bench, embio, worlds
 from .contrastive import (_GRADIENT_FORMS, ContrastiveBatch, TrainerConfig, _anchor_reports,
-                          _forward, _threshold, exact_gradients, train_contrastive)
+                          _check_unique_max, _forward, _threshold, exact_gradients,
+                          train_contrastive)
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, SpectralSummary, covariance,
                      l2_normalize_rows, spectral_summary)
-from .geometry import group_pairs, group_statistics, masked_gap_distance
+from .geometry import group_pairs, group_statistics, masked_gap_distance, per_dim_variance
 
 RANK_GAMMA = 1.0 - 1e-9
 
@@ -158,11 +159,7 @@ def _cmd_simulate_init(p):
         "masked_gap_near_0.99": abs(masked - 0.99) <= 0.1,
         "rank_dims_exact": sx.effective_dim == p["dex"] and sy.effective_dim == p["dey"],
     }
-    # Each dimension as one contiguous row: numpy sums a row pairwise, as it sums
-    # the column slice m[:, i], so every variance keeps the bits of a per-column
-    # .var(); m.var(axis=0) adds down the columns sequentially and moves last bits.
-    variances = [np.ascontiguousarray(m.T).var(axis=1) for m in
-                 (w.pre_norm_x, w.pre_norm_y, w.pairs.x.values, w.pairs.y.values)]
+    variances = [per_dim_variance(m) for m in (w.pre_norm_x, w.pre_norm_y, w.pairs.x, w.pairs.y)]
     tables = [("variance", ["dim", "var_x_prenorm", "var_y_prenorm", "var_x", "var_y"],
                list(zip(range(p["d"]), *variances)))]
     return results, checks, tables
@@ -235,6 +232,8 @@ def _cmd_verify_gradients(p):
 def _cmd_stable_region(p):
     rng = np.random.default_rng(p["seed"])
     taus = p["taus"]
+    if sorted(taus) != taus:
+        raise ValueError(f"taus must be in increasing order, got {taus!r}")
     delta = p["delta"]
     rows = []
     violations = 0
@@ -245,19 +244,12 @@ def _cmd_stable_region(p):
             pairs = _random_unit_pairs(rng, p["n"], p["d"])
         sims = pairs.x.values[i] @ pairs.y.values.T
         reports = _anchor_reports(sims, i, taus, delta)
-        sims[i] = -np.inf  # the threshold needs a unique hardest negative
-        if np.count_nonzero(sims == sims.max()) > 1:
-            raise ValueError("similarity profile has a tied maximum")
-        thresholds = []
-        for tau, rep in zip(taus, reports):
-            thr = _threshold(tau, rep.crowding, delta)
-            thresholds.append(thr)
-            if rep.loss_i > rep.bound:
-                violations += 1
-            rows.append((done, tau, rep.margin, rep.crowding, thr,
-                         rep.loss_i, rep.bound, rep.in_stable_region))
-        if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-            mono_failures += 1
+        _check_unique_max(np.delete(sims, i))  # the threshold needs a unique hardest negative
+        thresholds = [_threshold(tau, rep.crowding, delta) for tau, rep in zip(taus, reports)]
+        violations += sum(rep.loss_i > rep.bound for rep in reports)
+        mono_failures += any(b < a for a, b in zip(thresholds, thresholds[1:]))
+        rows += [(done, tau, rep.margin, rep.crowding, thr, rep.loss_i, rep.bound,
+                  rep.in_stable_region) for tau, rep, thr in zip(taus, reports, thresholds)]
     results = {"instances": p["instances"], "bound_violations": violations,
                "threshold_monotonicity_failures": mono_failures}
     checks = {"no_bound_violations": violations == 0,
@@ -418,7 +410,7 @@ _COMMANDS = {
         choices={"noise_mode": worlds._NOISE_MODES, "file_format": _FORMATS}),
     "c3-bench": _Command(_cmd_c3_bench, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.83,
-        "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": [0.01, 0.05, 0.1, 0.2],
+        "sigma_align": 0.05, "seeds": 5, "lam": 1e-3, "sigma_grid": list(bench.SIGMA_GRID),
         "seed": 0}, positive=("seeds", "span_dim")),
     "shift-sweep": _Command(_cmd_shift_sweep, {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.0,

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EmbeddingMatrix, PairedEmbeddings, _checked_mask, _first_nonfinite,
+from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_nonnegative_finite,
+                     _check_positive_finite, _checked_mask, _first_nonfinite,
                      _normalize_rows_inplace, l2_normalize_rows)
 
 __all__ = [
@@ -59,12 +60,6 @@ __all__ = [
 
 DEFAULT_TAU = 0.07
 _GRADIENT_FORMS = ("exact", "span")
-
-
-def _check_positive_finite(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` (a temperature or a delta) is > 0 and finite."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +239,7 @@ class TrainerConfig:
     gradient_form: str = "exact"
 
     def __post_init__(self):
-        if not (self.learning_rate >= 0.0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        _check_nonnegative_finite("learning rate", self.learning_rate)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.record_every < 1:
@@ -388,6 +382,12 @@ def _threshold(tau: float, o: int, delta: float) -> float:
     return float(tau * math.log(o / math.expm1(delta)))
 
 
+def _check_unique_max(profile: np.ndarray) -> None:
+    """Raise ValueError when the maximum of ``profile`` is attained more than once."""
+    if np.count_nonzero(profile == profile.max()) > 1:
+        raise ValueError("similarity profile has a tied maximum")
+
+
 def stable_region_threshold(similarities, tau: float, delta: float) -> float:
     """Margin above which the per-anchor loss term is guaranteed below delta.
 
@@ -403,8 +403,7 @@ def stable_region_threshold(similarities, tau: float, delta: float) -> float:
     t = np.asarray(similarities, dtype=np.float64).ravel()
     if t.size < 1:
         raise ValueError("empty similarity profile")
-    if np.count_nonzero(t == t.max()) > 1:
-        raise ValueError("similarity profile has a tied maximum")
+    _check_unique_max(t)
     m = int(np.argmax(t))
     o_prime = 1.0 + float(np.exp((np.delete(t, m) - t[m]) / tau).sum())
     return _threshold(tau, int(math.ceil(o_prime)), delta)

@@ -199,8 +199,11 @@ def masked_gap_distance(pairs: PairedEmbeddings, mask) -> float:
 
 
 def per_dim_variance(m) -> np.ndarray:
-    """Per-dimension population variance (n >= 2 rows required)."""
+    """Per-dimension population variance (n >= 2 rows required), with the bits
+    of a per-column ``.var()``: each dimension is reduced as one contiguous row,
+    which numpy sums pairwise as it sums the column slice ``a[:, i]``, where
+    ``a.var(axis=0)`` would add down the columns sequentially."""
     a = as_array(m)
     if a.shape[0] < 2:
         raise ValueError(f"variance needs at least 2 rows, got {a.shape[0]}")
-    return a.var(axis=0)
+    return np.ascontiguousarray(a.T).var(axis=1)

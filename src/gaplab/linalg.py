@@ -6,6 +6,7 @@ dtype, and every function is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,18 @@ DEFAULT_GAMMA = 0.99
 # Size of one gathered block of float64 pair rows: small enough to stay in a
 # core's L2 cache (128 rows at d=512).
 _BLOCK_BYTES = 512 * 1024
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is > 0 and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative_finite(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is >= 0 and finite."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def as_array(m) -> np.ndarray:
@@ -241,6 +254,21 @@ def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray
     """A random d x k matrix with orthonormal columns (QR of a Gaussian, signs fixed)."""
     q, r = np.linalg.qr(rng.standard_normal((d, k)))
     return q * np.sign(np.diag(r))
+
+
+def _gap_frame(rng: np.random.Generator, d: int, span_dim: int,
+               gap_norm: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """A d x span_dim orthonormal span basis and a unit gap direction orthogonal
+    to it (None when span_dim == d), from one ``_orthonormal_columns`` draw;
+    ValueError unless 1 <= span_dim <= d, ``gap_norm`` is finite and >= 0 and
+    a positive ``gap_norm`` has an orthogonal complement to point into."""
+    if not (1 <= span_dim <= d):
+        raise ValueError(f"span_dim must be in [1, {d}], got {span_dim}")
+    _check_nonnegative_finite("gap_norm", gap_norm)
+    if gap_norm > 0 and span_dim == d:
+        raise ValueError("no orthogonal complement left for the gap: span_dim == d")
+    frame = _orthonormal_columns(rng, d, min(span_dim + 1, d))
+    return frame[:, :span_dim], frame[:, span_dim] if span_dim < d else None
 
 
 def _index_pairs(rng: np.random.Generator, n: int, wanted: int) -> tuple[np.ndarray, np.ndarray]:

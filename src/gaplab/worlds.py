@@ -25,7 +25,8 @@ from .linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
     SpectralSummary,
-    _orthonormal_columns,
+    _check_nonnegative_finite,
+    _gap_frame,
     _row_blocks,
     _row_norms,
     covariance,
@@ -91,20 +92,13 @@ def make_gap_world(
     ``(eps @ basis) @ basis.T`` by its place in the call, so a blocked
     projection would move bits.
     """
-    if not (1 <= span_dim <= d):
-        raise ValueError(f"span_dim must be in [1, {d}], got {span_dim}")
-    if gap_norm < 0 or sigma < 0:
-        raise ValueError("gap_norm and sigma must be non-negative")
-    if gap_norm > 0 and span_dim == d:
-        raise ValueError("no orthogonal complement left for the gap: span_dim == d")
+    _check_nonnegative_finite("sigma", sigma)
     if noise_mode not in _NOISE_MODES:
         raise ValueError(f"unknown noise_mode {noise_mode!r}")
 
     rng = np.random.default_rng(seed)
-    want = span_dim + (1 if span_dim < d else 0)
-    frame = _orthonormal_columns(rng, d, want)
-    basis = frame[:, :span_dim]
-    gap = gap_norm * frame[:, span_dim] if span_dim < d else np.zeros(d)
+    basis, direction = _gap_frame(rng, d, span_dim, gap_norm)
+    gap = np.zeros(d) if direction is None else gap_norm * direction
 
     coeffs = rng.standard_normal((n, span_dim))
     coeffs /= _row_norms(coeffs)[:, None]
@@ -239,18 +233,11 @@ def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
     alive = _row_norms(h) > 0.0
     live = h if alive.all() else h[alive]
     cone = mean_pairwise_cosine(live, seed=seed) if live.shape[0] >= 2 else (0.0, 0.0)
-    if float(np.abs(c).sum()) == 0.0:
-        # Total die-off (or exactly constant features): no spectrum to report.
-        return MlpProbe(layer=layer, summary=None, effective_dim=0,
-                        cone_mean=cone[0], cone_std=cone[1], dead=True)
-    summary = spectral_summary(c, gamma)
-    return MlpProbe(
-        layer=layer,
-        summary=summary,
-        effective_dim=summary.effective_dim,
-        cone_mean=cone[0],
-        cone_std=cone[1],
-    )
+    # Total die-off (or exactly constant features): no spectrum to report.
+    summary = None if float(np.abs(c).sum()) == 0.0 else spectral_summary(c, gamma)
+    return MlpProbe(layer=layer, summary=summary,
+                    effective_dim=0 if summary is None else summary.effective_dim,
+                    cone_mean=cone[0], cone_std=cone[1], dead=summary is None)
 
 
 def mlp_collapse_sim(cfg: MlpSimConfig = MlpSimConfig()) -> list[MlpProbe]:

@@ -77,9 +77,12 @@ class TestCorrupt:
         with pytest.raises(ValueError, match="gap_direction"):
             C3Config(mode="span_only")
 
-    def test_direction_must_be_unit(self):
-        with pytest.raises(ValueError, match="unit"):
-            C3Config(mode="span_only", gap_direction=np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("g", [[1.0, 1.0], [np.nan, 0.0, 0.0], [np.inf, 0.0]])
+    def test_direction_must_be_unit(self, g):
+        # a NaN norm fails the unit-norm tolerance too, instead of turning
+        # every corrupted row into NaN
+        with pytest.raises(ValueError, match="gap_direction must be unit-norm"):
+            C3Config(sigma=0.1, mode="span_only", gap_direction=np.array(g))
 
     def test_noise_keyed_by_row_index(self):
         rng = np.random.default_rng(7)

@@ -18,6 +18,7 @@ from gaplab import bench, cli, contrastive, worlds
 from gaplab.contrastive import ContrastiveBatch, loss_bound_check, stable_region_threshold
 from gaplab.cli import main, resolve_config
 from gaplab.embio import DTYPE_FLOAT32, MAGIC, VERSION, read_csv, write_mmeb
+from gaplab.geometry import per_dim_variance
 from gaplab.linalg import PairedEmbeddings, l2_normalize_rows
 from gaplab.worlds import make_collapsed_init_world
 
@@ -87,6 +88,7 @@ class TestConfigTypes:
         ("train-sim", {"tau": -0.07}),
         ("verify-gradients", {"taus": [0.07, 0]}),
         ("stable-region", {"taus": [-0.5, 0.07]}),
+        ("stable-region", {"taus": [0.07, 0.01]}),
         ("shift-sweep", {"seeds": 0}),
         ("mlp-collapse", {"seeds": 0}),
         ("c3-bench", {"seeds": -1}),
@@ -191,6 +193,44 @@ class TestConfigTypes:
         assert cli._COMMANDS["gap-stats"].choices["noise_mode"] is worlds._NOISE_MODES
         assert cli._COMMANDS["shift-sweep"].choices["shift_mode"] is bench._SHIFT_MODES
 
+    def test_taus_out_of_order_exit_2_before_any_batch(self, capsys, tmp_path, monkeypatch):
+        # the monotonicity check compares consecutive taus as ascending ones
+        def no_batch(*args):
+            raise AssertionError("a batch was drawn before taus were checked")
+
+        monkeypatch.setattr(cli, "_random_unit_pairs", no_batch)
+        err = exits_2_with_one_line(capsys, tmp_path, "stable-region", {"taus": [0.07, 0.07, 0.01]})
+        assert err == ("gaplab stable-region: error: taus must be in increasing order, "
+                       "got [0.07, 0.07, 0.01]\n")
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_tie_rule_is_the_thresholds(self, capsys, tmp_path, monkeypatch, tied):
+        # anchor 0's positive ties its hardest negative y1, which is no tie of
+        # the negatives; a copy of y1 as y2 is one, rejected as the threshold
+        # rejects it
+        a = 0.3
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        y = np.array([[math.cos(a), math.sin(a)], [math.cos(a), -math.sin(a)],
+                      [math.cos(a), -math.sin(a)] if tied else [-1.0, 0.0]])
+        pairs = PairedEmbeddings(x=l2_normalize_rows(x), y=l2_normalize_rows(y))
+        monkeypatch.setattr(cli, "_random_unit_pairs", lambda rng, n, d: pairs)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 3, "d": 2, "instances": 1}))
+        rc = main(["stable-region", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        negatives = np.delete(pairs.x.values[0] @ pairs.y.values.T, 0)
+        if not tied:
+            assert rc in (0, 1)
+            stable_region_threshold(negatives, 0.07, 0.01)
+            return
+        assert rc == 2
+        with pytest.raises(ValueError) as info:
+            stable_region_threshold(negatives, 0.07, 0.01)
+        assert capsys.readouterr().err == f"gaplab stable-region: error: {info.value}\n"
+        assert str(info.value) == "similarity profile has a tied maximum"
+
+    def test_c3_bench_sigma_grid_is_the_benchs(self):
+        assert resolve_config("c3-bench", None, None)["sigma_grid"] == list(bench.SIGMA_GRID)
+
     @pytest.mark.parametrize("command", ["shift-sweep", "c3-bench"])
     def test_span_dim_wider_than_d_exits_2(self, capsys, tmp_path, command):
         err = exits_2_with_one_line(capsys, tmp_path, command,
@@ -221,13 +261,18 @@ class TestCommands:
         main(["c3-bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert built == [0, 1, 2, 3, 4]  # one per seed; none rebuilt for in_modality_mean
 
-    def test_simulate_init_variances_match_a_per_column_var(self, tmp_path):
-        # bit for bit: a column's .var() sums pairwise, m.var(axis=0) does not
+    def test_simulate_init_variances_match_a_per_column_var(self, tmp_path, monkeypatch):
+        # bit for bit: a column's .var() sums pairwise, m.var(axis=0) does not;
+        # the table comes from the library's per_dim_variance
+        calls = []
+        monkeypatch.setattr(cli, "per_dim_variance",
+                            lambda m: calls.append(1) or per_dim_variance(m))
         config = {"n": 300, "d": 64, "dex": 5, "dey": 30}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
         main(["simulate-init", "--config", str(cfg), "--out", str(out), "--seed", "3"])
+        assert len(calls) == 4
         w = make_collapsed_init_world(seed=3, **config)
         expected = [[i] + [m[:, i].var() for m in (w.pre_norm_x, w.pre_norm_y,
                                                     w.pairs.x.values, w.pairs.y.values)]

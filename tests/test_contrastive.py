@@ -717,7 +717,7 @@ class TestMaskedDimsChecked:
 class TestTemperatureAndDeltaChecked:
     """One rule, "positive and finite", for every temperature and delta."""
 
-    BAD = [-0.07, 0.0, math.inf, math.nan]
+    BAD = [-1.0, -0.07, 0.0, math.inf, math.nan]
 
     @pytest.mark.parametrize("tau", BAD)
     def test_trainer_rejects_tau_before_the_first_step(self, monkeypatch, tau):

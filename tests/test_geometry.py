@@ -182,3 +182,16 @@ class TestPerDimVariance:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             per_dim_variance([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("source", ["small", "init-world"])
+    def test_bits_of_a_per_column_var(self, source):
+        # a column's .var() sums pairwise; m.var(axis=0) adds down the columns
+        # and moves last bits at both sources
+        if source == "small":
+            mats = [np.random.default_rng(0).standard_normal((50, 4))]
+        else:
+            w = make_collapsed_init_world()
+            mats = [w.pre_norm_x, w.pre_norm_y, w.pairs.x.values, w.pairs.y.values]
+        for m in mats:
+            want = [m[:, i].var() for i in range(m.shape[1])]
+            assert per_dim_variance(m).tolist() == want

@@ -1,4 +1,5 @@
-"""Compare every gaplab command's reports between the working tree and a revision.
+"""Compare every gaplab command's reports and every demo's output between the
+working tree and a revision.
 
     python tools/report_diff.py --base REV [--seed N ...]
 
@@ -11,9 +12,15 @@ that this script writes to CSV, and ``gap-stats`` analyzes a pair of such
 files. The configs name those files by paths relative to the run directory,
 so both trees echo the same config.
 
+Every ``demos/*.py`` script of either tree then runs once in each tree, in
+an empty directory with TMPDIR pointing into it; its stdout, with that TMPDIR
+masked (demo 08 prints the temporary directory it works in), and its exit
+status are compared.
+
 For each run the script prints whether the two exit statuses and the two run
-directories (reports and exported files) are identical, and lists every file
-that differs or exists on one side only. It exits 0 only when everything is
+directories (reports and exported files) or demo outputs are identical, and
+lists every file that differs or exists on one side only, or the first
+differing line of a demo's output. It exits 0 only when everything is
 identical, 1 when anything differs and 2 when REV cannot be unpacked.
 Standard library only; train-sim at its defaults takes 1-2 min a side.
 """
@@ -25,6 +32,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -75,6 +83,33 @@ def _run(tree: Path, run_dir: Path, command: str, config: dict | None, seed: int
                           stderr=subprocess.DEVNULL).returncode
 
 
+def _run_demo(tree: Path, run_dir: Path, name: str) -> tuple[int, list[str]]:
+    """Exit status and stdout lines of one demo, run in ``run_dir`` with TMPDIR
+    inside it; the TMPDIR path and what follows it up to whitespace is masked."""
+    tmp = run_dir / "tmp"
+    tmp.mkdir(parents=True)
+    script = tree / "demos" / name
+    if not script.is_file():
+        return -1, [f"<no demos/{name}>"]
+    proc = subprocess.run([sys.executable, str(script)], cwd=run_dir,
+                          env=dict(_env(tree), TMPDIR=str(tmp)), capture_output=True, text=True)
+    out = re.sub(re.escape(str(tmp)) + r"\S*", "<tmpdir>", proc.stdout)
+    (run_dir / "stdout.txt").write_text(out)
+    return proc.returncode, out.splitlines()
+
+
+def _verdict(label: str, status: dict, notes: list[str], size: str) -> bool:
+    """Print whether one run is identical on both sides, with the exit statuses
+    and ``notes`` on what differs; return True when something does."""
+    if status["base"] != status["change"]:
+        notes.insert(0, f"exit status: base {status['base']}, change {status['change']}")
+    print(f"{label}: {'DIFFERS' if notes else 'identical'} (exit {status['base']}, {size})",
+          flush=True)
+    for note in notes:
+        print(f"  {note}", flush=True)
+    return bool(notes)
+
+
 def _files(d: Path) -> dict:
     return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*"))
             if p.is_file()}
@@ -112,8 +147,6 @@ def main(argv=None) -> int:
                       for side, tree in trees.items()}
             files = {side: _files(d) for side, d in dirs.items()}
             notes = []
-            if status["base"] != status["change"]:
-                notes.append(f"exit status: base {status['base']}, change {status['change']}")
             for path in sorted(set(files["base"]) | set(files["change"])):
                 if path not in files["change"]:
                     notes.append(f"only in base: {path}")
@@ -121,13 +154,18 @@ def main(argv=None) -> int:
                     notes.append(f"only in change: {path}")
                 elif files["base"][path] != files["change"][path]:
                     notes.append(f"differs: {path}")
-            verdict = "DIFFERS" if notes else "identical"
-            print(f"seed {seed} {name}: {verdict} (exit {status['base']}, "
-                  f"{len(files['base'])} files)", flush=True)
-            for note in notes:
-                print(f"  {note}", flush=True)
-            differing += bool(notes)
-    total = len(args.seed) * len(runs)
+            differing += _verdict(f"seed {seed} {name}", status, notes,
+                                  f"{len(files['base'])} files")
+    demos = sorted({p.name for tree in trees.values() for p in (tree / "demos").glob("*.py")})
+    for name in demos:
+        status, out = {}, {}
+        for side, tree in trees.items():
+            status[side], out[side] = _run_demo(tree, WORK / side / "demos" / name, name)
+        pairs = zip(out["base"] + [""], out["change"] + [""])  # "" marks a missing line
+        notes = [f"stdout line {n}: base {a!r}, change {b!r}"
+                 for n, (a, b) in enumerate(pairs, 1) if a != b][:1]
+        differing += _verdict(f"demo {name}", status, notes, f"{len(out['base'])} lines")
+    total = len(args.seed) * len(runs) + len(demos)
     print(f"{total - differing} of {total} runs identical")
     return 1 if differing else 0
 
