@@ -376,8 +376,10 @@ def gap_shift_sweep(
     ``shift_mode="in_span"``.
     """
     norms = [float(c) for c in shift_norms]
-    if any(c < 0 for c in norms) or sorted(norms) != norms:
-        raise ValueError("shift norms must be non-negative and sorted")
+    for c in norms:
+        _check_nonnegative_finite("shift norm", c)
+    if sorted(norms) != norms:
+        raise ValueError("shift norms must be sorted")
     if shift_mode not in _SHIFT_MODES:
         raise ValueError(f"unknown shift_mode {shift_mode!r}")
     if shift_mode == "in_span":

@@ -1,5 +1,7 @@
 """Cross-modal transfer benchmark tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,18 @@ class TestShiftSweep:
         t = make_toy_task(n=200, d=32, gap_norm=0.0, sigma_align=0.0, seed=0, span_dim=16)
         with pytest.raises(ValueError, match="sorted"):
             gap_shift_sweep(t, [1.0, 0.5])
+
+    @pytest.mark.parametrize("shifts,message", [
+        ([0.0, math.nan], "shift norm must be finite and >= 0, got nan"),
+        ([math.nan, 0.0], "shift norm must be finite and >= 0, got nan"),
+        ([0.0, math.inf], "shift norm must be finite and >= 0, got inf"),
+        ([-1.0, 0.0], "shift norm must be finite and >= 0, got -1.0"),
+    ])
+    def test_non_finite_or_negative_shift_rejected(self, shifts, message):
+        t = make_toy_task(n=200, d=32, gap_norm=0.0, sigma_align=0.0, seed=0, span_dim=16)
+        with pytest.raises(ValueError) as exc:
+            gap_shift_sweep(t, shifts)
+        assert str(exc.value) == message
 
     def test_full_span_task_has_no_orthogonal_direction(self):
         t = make_toy_task(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab import contrastive
+from gaplab import contrastive, linalg
 from gaplab.contrastive import (
     ContrastiveBatch,
     _gradients,
@@ -357,6 +357,17 @@ class TestStableRegion:
         with pytest.raises(ValueError, match="tie"):
             stable_region_threshold([0.7, 0.7, 0.1], tau=0.1, delta=0.01)
 
+    @pytest.mark.parametrize("profile", [[math.nan, 0.1, 0.2], [0.9, math.nan, 0.2],
+                                         [math.inf, 0.1], [0.9, -math.inf]])
+    def test_non_finite_profile_rejected(self, monkeypatch, profile):
+        def no_tie_check(t):
+            raise AssertionError("the tie rule ran before the profile was checked")
+
+        monkeypatch.setattr(contrastive, "_check_unique_max", no_tie_check)
+        with pytest.raises(ValueError) as exc:
+            stable_region_threshold(profile, 0.07, 0.01)
+        assert str(exc.value) == "similarity profile must be finite"
+
     @given(st.integers(0, 5_000))
     @settings(max_examples=40, deadline=None)
     def test_threshold_monotone_in_tau(self, seed):
@@ -532,7 +543,9 @@ class TestOnePassMatchesPerHelperReference:
         assert np.array_equal(gx, want[0]) and np.array_equal(gy, want[1])
         assert loss == ref_loss(x, y, tau)
 
-    @pytest.mark.parametrize("form,projected", [("exact", True), ("span", False)])
+    # Exact projected descent on this world runs in reduced coordinates; its
+    # case is TestReducedExactProjectedTraining's, within rounding.
+    @pytest.mark.parametrize("form,projected", [("exact", False), ("span", False)])
     def test_last_record_loss_is_loss_of_final_state(self, form, projected):
         w = make_collapsed_init_world(n=32, d=24, dex=4, dey=10, seed=7)
         init = w.pairs if projected else PairedEmbeddings(
@@ -645,11 +658,12 @@ def _bitwise_equal(a, b):
 
 class TestWorkspaceTrainerMatchesAllocatingReference:
     @pytest.mark.parametrize("form,projected,lr,steps,record_every,mask", [
+        # Exact projected descent with the world's mask runs in reduced
+        # coordinates; TestReducedExactProjectedTraining compares it within rounding.
         ("span", False, 0.1, 120, 25, "world"),          # span on free rows
-        ("exact", True, 0.1, 60, 20, "world"),           # exact projected
         ("exact", False, 0.1, 60, 20, "world"),          # exact on free rows
         ("span", True, 0.1, 60, 20, "world"),            # span projected
-        ("exact", True, 0.1, 40, 10, [20, 3, 17, 3]),    # unsorted, with a duplicate
+        ("exact", True, 0.1, 40, 10, [20, 3, 17, 3]),    # unsorted, duplicated, full-rank block
         ("span", False, 0.1, 40, 10, None),              # no mask
         ("exact", True, 0.0, 10, 5, "world"),            # zero learning rate
         ("span", False, 0.1, 47, 10, "world"),           # steps not a multiple
@@ -692,6 +706,141 @@ class TestWorkspaceTrainerMatchesAllocatingReference:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+def _record_workspace_widths(monkeypatch) -> list:
+    """Widths of every ``_Workspace`` the trainer builds from now on."""
+    widths = []
+
+    class Recording(contrastive._Workspace):
+        __slots__ = ()
+
+        def __init__(self, n, d):
+            widths.append(d)
+            super().__init__(n, d)
+
+    monkeypatch.setattr(contrastive, "_Workspace", Recording)
+    return widths
+
+
+class TestReducedExactProjectedTraining:
+    """Exact projected descent in the unmasked columns plus a basis of the mask's block.
+
+    On the small world (d=24, the block of 10 masked columns holding rank 2)
+    the run is 16 columns wide. It must agree with the allocating d-column
+    reference to rounding: scalars within 1e-13 relative, states within 1e-13.
+    """
+
+    TOL = 1e-13
+
+    @staticmethod
+    def world():
+        return make_collapsed_init_world(n=48, d=24, dex=4, dey=10, seed=11)
+
+    @staticmethod
+    def cfg(lr=0.1, steps=60, record_every=20):
+        return TrainerConfig(learning_rate=lr, steps=steps, record_every=record_every)
+
+    def test_agrees_with_the_allocating_reference(self, monkeypatch):
+        widths = _record_workspace_widths(monkeypatch)
+        w, cfg = self.world(), self.cfg()
+        res = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
+        assert widths == [16]
+        want_x, want_y, want_records = ref_alloc_train(w.pairs, 0.07, cfg, w.shared_ineffective)
+        assert np.abs(res.final.x.values - want_x).max() <= self.TOL
+        assert np.abs(res.final.y.values - want_y).max() <= self.TOL
+        assert [rec[0] for rec in want_records] == [0, 20, 40, 60]
+        fields = ("loss", "gap_full", "gap_masked", "masked_grad_max")
+        for got, want in zip(res.trajectory, want_records, strict=True):
+            assert got.step == want[0]
+            for field, value in zip(fields, want[1:]):
+                assert getattr(got, field) == pytest.approx(value, rel=self.TOL), field
+
+    def test_last_record_loss_is_loss_of_final_state(self):
+        w, cfg = self.world(), self.cfg(record_every=25)
+        res = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
+        assert res.trajectory[0].loss == ref_loss(w.pairs.x.values, w.pairs.y.values, 0.07)
+        want = ref_loss(res.final.x.values, res.final.y.values, 0.07)
+        assert res.trajectory[-1].loss == pytest.approx(want, rel=self.TOL)
+
+    def test_rotated_input_gives_the_rotated_trajectory(self, monkeypatch):
+        # A rotation of the unmasked columns and one of the masked block keep
+        # the block low-rank, so both runs are reduced, in different bases.
+        w, cfg = self.world(), self.cfg()
+        rng = np.random.default_rng(13)
+        rot = np.zeros((24, 24))
+        rot[:14, :14] = linalg._orthonormal_columns(rng, 14, 14)
+        rot[14:, 14:] = linalg._orthonormal_columns(rng, 10, 10)
+        rotated = PairedEmbeddings(x=EmbeddingMatrix(w.pairs.x.values @ rot, unit_norm=True),
+                                   y=EmbeddingMatrix(w.pairs.y.values @ rot, unit_norm=True))
+        widths = _record_workspace_widths(monkeypatch)
+        a = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
+        b = train_contrastive(rotated, 0.07, cfg, masked_dims=w.shared_ineffective)
+        assert widths == [16, 16]
+        assert np.abs(a.final.x.values @ rot - b.final.x.values).max() <= self.TOL
+        assert np.abs(a.final.y.values @ rot - b.final.y.values).max() <= self.TOL
+        for ra, rb in zip(a.trajectory, b.trajectory, strict=True):
+            assert ra.step == rb.step
+            for field in ("loss", "gap_full", "gap_masked"):
+                assert getattr(ra, field) == pytest.approx(getattr(rb, field), rel=self.TOL), field
+
+    def test_zero_learning_rate_returns_the_initial_state_bitwise(self, monkeypatch):
+        widths = _record_workspace_widths(monkeypatch)
+        w = self.world()
+        res = train_contrastive(w.pairs, 0.07, self.cfg(lr=0.0, steps=10, record_every=5),
+                                masked_dims=w.shared_ineffective)
+        assert widths == [24]
+        assert _bitwise_equal(res.final.x.values, w.pairs.x.values)
+        assert _bitwise_equal(res.final.y.values, w.pairs.y.values)
+
+    def test_degenerating_projection_fails_at_the_reference_step(self, monkeypatch):
+        widths = _record_workspace_widths(monkeypatch)
+        w, cfg = self.world(), self.cfg(lr=1e154, record_every=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as want:
+                ref_alloc_train(w.pairs, 0.07, cfg, w.shared_ineffective)
+            with pytest.raises(FloatingPointError) as got:
+                train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
+        assert widths == [16]
+        assert str(want.value).startswith("state degenerated at step 2:")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("form,projected,lr,mask,width", [
+        ("exact", True, 0.1, "world", 257),    # the long-running form
+        ("span", False, 0.1, "world", 512),    # train-sim's default form
+        ("span", True, 0.1, "world", 512),
+        ("exact", False, 0.1, "world", 512),   # free rows
+        ("exact", True, 0.0, "world", 512),    # zero learning rate
+        ("exact", True, 0.1, None, 512),       # no mask
+        ("exact", True, 0.1, [3, 300], 512),   # a block of full rank
+    ])
+    def test_workspace_width_on_the_collapsed_world(self, monkeypatch, form, projected, lr,
+                                                    mask, width):
+        w = make_collapsed_init_world(n=32, d=512, dex=25, dey=230, seed=0)
+        init = w.pairs if projected else PairedEmbeddings(
+            x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
+        cfg = TrainerConfig(learning_rate=lr, steps=1, renormalize_each_step=projected,
+                            gradient_form=form)
+        widths = _record_workspace_widths(monkeypatch)
+        train_contrastive(init, 0.07, cfg,
+                          masked_dims=w.shared_ineffective if mask == "world" else mask)
+        assert widths == [width]
+
+    def test_block_rows_off_the_basis_beyond_rounding_keep_d_columns(self, monkeypatch):
+        # A 1e-9 spread in the masked block falls below the eigenvalue cut, so
+        # only the residual check can see that the rank-2 basis misses it.
+        w = make_collapsed_init_world(n=32, d=512, dex=25, dey=230, seed=0)
+        m = w.shared_ineffective
+        noise = 1e-9 * np.random.default_rng(14).standard_normal((2, 32, m.size))
+        sides = []
+        for a, e in zip((w.pairs.x.values, w.pairs.y.values), noise):
+            a = a.copy()
+            a[:, m] += e
+            sides.append(l2_normalize_rows(a))
+        widths = _record_workspace_widths(monkeypatch)
+        train_contrastive(PairedEmbeddings(x=sides[0], y=sides[1]), 0.07,
+                          TrainerConfig(steps=1), masked_dims=m)
+        assert widths == [512]
 
 
 class TestMaskedDimsChecked:
