@@ -11,7 +11,7 @@ Each value must have its default's type (an int default takes only an int, a
 float default a finite int or float, a list default a non-empty list of
 finite numbers), a positive key (``tau``, ``h``, every ``taus`` entry,
 ``seeds``, ``span_dim`` and the counts ``batches``, ``instances``,
-``depth``, ``pairs_per_group`` and stable-region's ``n``) must be > 0,
+``depth``, ``pairs_per_group`` and stable-region's ``n`` and ``d``) must be > 0,
 ``seed`` must be >= 0, and an enumerated string key (``init``,
 ``gradient_form``, ``noise_mode``, ``shift_mode`` and the file formats) must
 name one of its choices, or the command exits with status 2 before any work
@@ -30,6 +30,7 @@ exit status is 0 exactly when every check the command ran passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -39,9 +40,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bench, embio, worlds
-from .contrastive import (_GRADIENT_FORMS, ContrastiveBatch, TrainerConfig, _anchor_reports,
-                          _check_unique_max, _forward, _threshold, exact_gradients,
-                          train_contrastive)
+from .contrastive import (_GRADIENT_FORMS, ContrastiveBatch, TrainerConfig, TrainingRecord,
+                          _anchor_reports, _check_unique_max, _forward, _threshold,
+                          exact_gradients, train_contrastive)
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, SpectralSummary, covariance,
                      l2_normalize_rows, spectral_summary)
 from .geometry import group_pairs, group_statistics, masked_gap_distance, per_dim_variance
@@ -97,6 +98,11 @@ def write_reports(out_dir, command, config, results, checks, tables, fmt="both")
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+def _from_params(cls, p: dict):
+    """The dataclass ``cls`` built from the params that its fields name."""
+    return cls(**{f.name: p[f.name] for f in dataclasses.fields(cls)})
+
 
 def _random_unit_pairs(rng: np.random.Generator, n: int, d: int) -> PairedEmbeddings:
     """n pairs of random unit rows of width d; x is drawn before y."""
@@ -169,14 +175,8 @@ def _cmd_train_sim(p):
     w = worlds.make_collapsed_init_world(p["n"], p["d"], p["dex"], p["dey"], p["seed"])
     init = w.pairs if p["init"] == "unit" else PairedEmbeddings(
         x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
-    cfg = TrainerConfig(
-        learning_rate=p["learning_rate"],
-        steps=p["steps"],
-        renormalize_each_step=p["renormalize_each_step"],
-        record_every=p["record_every"],
-        gradient_form=p["gradient_form"],
-    )
-    res = train_contrastive(init, p["tau"], cfg, masked_dims=w.shared_ineffective)
+    res = train_contrastive(init, p["tau"], _from_params(TrainerConfig, p),
+                            masked_dims=w.shared_ineffective)
     traj = res.trajectory
     losses = [r.loss for r in traj]
     results = {
@@ -199,14 +199,14 @@ def _cmd_train_sim(p):
     else:
         checks["final_loss_below_0.01"] = losses[-1] < 0.01
         checks["masked_gap_in_band"] = 0.7 <= traj[-1].gap_masked <= 1.1
-    rows = [
-        (r.step, r.loss, r.gap_full, r.gap_masked, r.masked_grad_max) for r in traj
-    ]
-    tables = [("trajectory", ["step", "loss", "gap_full", "gap_masked", "masked_grad_max"], rows)]
-    return results, checks, tables
+    header = [f.name for f in dataclasses.fields(TrainingRecord)]
+    return results, checks, [("trajectory", header, [dataclasses.astuple(r) for r in traj])]
 
 
 def _cmd_verify_gradients(p):
+    for key in ("max_n", "max_d"):  # n and d are drawn from [2, max]
+        if p[key] < 2:
+            raise ValueError(f"config key {key} for verify-gradients must be >= 2, got {p[key]!r}")
     rng = np.random.default_rng(p["seed"])
     taus = p["taus"]
     worst = {tau: 0.0 for tau in taus}
@@ -262,12 +262,9 @@ def _cmd_stable_region(p):
 
 def _cmd_mlp_collapse(p):
     rows = []
+    base = _from_params(worlds.MlpSimConfig, p)
     for s in range(p["seeds"]):
-        cfg = worlds.MlpSimConfig(
-            depth=p["depth"], width=p["width"], n_inputs=p["n_inputs"],
-            probe_stride=p["probe_stride"], seed=p["seed"] + s, gamma=p["gamma"],
-        )
-        for probe in worlds.mlp_collapse_sim(cfg):
+        for probe in worlds.mlp_collapse_sim(dataclasses.replace(base, seed=p["seed"] + s)):
             rows.append((p["seed"] + s, probe.layer, probe.effective_dim,
                          probe.cone_mean, probe.cone_std, probe.dead))
     layers = sorted({row[1] for row in rows})
@@ -330,8 +327,8 @@ def _cmd_c3_bench(p):
                                         tuple(p["sigma_grid"]), p["lam"], in_modality=True)
     by = {r.variant: r for r in rows}
     sanity = float(np.mean(in_modality))
-    header = ["variant", "train_sigma", "mean", "std", "seeds"]
-    table = [(r.variant, r.train_sigma, r.mean, r.std, r.seeds) for r in rows]
+    header = [f.name for f in dataclasses.fields(bench.AblationRow)]
+    table = [dataclasses.astuple(r) for r in rows]
     results = {"rows": [dict(zip(header, row)) for row in table], "in_modality_mean": sanity}
     c1, c21, c22, span, c3 = (by[v].mean for v in ("c1", "c21", "c22", "c22_span", "c3"))
     checks = {
@@ -341,8 +338,7 @@ def _cmd_c3_bench(p):
         "span_within_0.05_of_c21": abs(span - c21) <= 0.05,
         "no_transfer_beats_in_modality": sanity >= c3,
     }
-    tables = [("ablation", header, table)]
-    return results, checks, tables
+    return results, checks, [("ablation", header, table)]
 
 
 def _cmd_shift_sweep(p):
@@ -398,7 +394,7 @@ _COMMANDS = {
         "seed": 0}, positive=("batches", "taus", "h")),
     "stable-region": _Command(_cmd_stable_region, {
         "n": 8, "d": 16, "taus": [0.01, 0.07, 0.5], "delta": 0.01, "instances": 1000,
-        "seed": 0}, positive=("taus", "instances", "n")),
+        "seed": 0}, positive=("taus", "instances", "n", "d")),
     "mlp-collapse": _Command(_cmd_mlp_collapse, {
         "depth": 20, "width": 512, "n_inputs": 1000, "probe_stride": 5, "seeds": 5,
         "gamma": 0.99, "seed": 0}, positive=("depth", "seeds")),

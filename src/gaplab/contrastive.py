@@ -30,11 +30,8 @@ updates and re-projects its state in place, so a step allocates no n x n or
 n x d array. The public helpers build a fresh workspace on every call:
 what they return never shares memory with another call's result.
 
-Exact-form projected training whose masked columns hold rows of lower rank
-than their count (the long-running form on the collapsed-init world) runs
-its workspace in reduced coordinates, 257 columns instead of 512 there;
-see ``train_contrastive``. Only those runs' records and final states move,
-and only by rounding.
+Exact-form projected training may run in reduced coordinates; see
+``train_contrastive``.
 """
 
 from __future__ import annotations
@@ -337,12 +334,10 @@ def train_contrastive(
     unmasked columns as they are plus coordinates in an orthonormal basis q
     of the block's row space, and is mapped back to d columns once, at the
     end. On the collapsed-init world at the long-running shape (n=1000,
-    d=512) that is 257 columns: 3,000 steps took 140 s instead of 241 s
-    (47 ms a step instead of 80) on a 2-core x86-64 host with OpenBLAS
-    0.3.31. The records and the final state then differ from the d-column
-    run by rounding only. Every other run (span form, free rows, no mask, a
-    zero learning rate or a full-rank block) keeps the d-column path and
-    its bits.
+    d=512) that is 257 columns. The records and the final state then differ
+    from the d-column run by rounding only. Every other run (span form, free
+    rows, no mask, a zero learning rate or a full-rank block) keeps the
+    d-column path and its bits.
 
     Raises
     ------
@@ -353,18 +348,23 @@ def train_contrastive(
         If the loss or an update turns non-finite (reported with its step).
     """
     _check_positive_finite("temperature", tau)
-    if cfg.renormalize_each_step and not (init.x.unit_norm and init.y.unit_norm):
+    unit = cfg.renormalize_each_step  # projected descent: the rows stay on the unit sphere
+    if unit and not (init.x.unit_norm and init.y.unit_norm):
         raise ValueError("projected descent requires unit-norm initial embeddings")
     n, d = init.n, init.d
     mask = None if masked_dims is None else _checked_mask(masked_dims, d)
     span = cfg.gradient_form == "span"
     x, y = init.x.values, init.y.values
     q = None
-    if mask is not None and not span and cfg.renormalize_each_step and cfg.learning_rate != 0.0:
+    if mask is not None and not span and unit and cfg.learning_rate != 0.0:
         block = np.unique(mask)
         q = _block_basis(x, y, block)
     if q is None:
         x, y = x.copy(), y.copy()
+
+        def full(a: np.ndarray) -> np.ndarray:
+            """The identity: the state already has d columns."""
+            return a
     else:
         rest = np.setdiff1d(np.arange(d), block)
         k = rest.size
@@ -377,32 +377,19 @@ def train_contrastive(
             out[..., block] = a[..., k:] @ q.T
             return out
     ws = _Workspace(n, x.shape[1])
+    masked_abs = None if mask is None else np.empty((n, mask.size if q is None else block.size))
 
-    if mask is not None:
-        masked_abs = np.empty((n, mask.size if q is None else block.size))
-
-    def analysis_views() -> tuple[np.ndarray, np.ndarray]:
-        if cfg.renormalize_each_step:
-            return x, y
-        return l2_normalize_rows(x).values, l2_normalize_rows(y).values
-
-    def snapshot(step: int, loss: float, masked_grad_max: float) -> TrainingRecord:
+    def record(step: int, loss: float, masked_grad_max: float) -> TrainingRecord:
         if not math.isfinite(loss):
             raise FloatingPointError(f"loss diverged at step {step}")
         try:
-            xs, ys = analysis_views()
+            xs, ys = (x, y) if unit else (l2_normalize_rows(a).values for a in (x, y))
         except ValueError as exc:  # overflowing or vanishing row norms
             raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
-        diff = xs.mean(axis=0) - ys.mean(axis=0)
-        if q is not None:
-            diff = full(diff)
-        return TrainingRecord(
-            step=step,
-            loss=loss,
-            gap_full=float(np.linalg.norm(diff)),
-            gap_masked=float(np.linalg.norm(diff if mask is None else diff[mask])),
-            masked_grad_max=masked_grad_max,
-        )
+        diff = full(xs.mean(axis=0) - ys.mean(axis=0))
+        return TrainingRecord(step, loss, float(np.linalg.norm(diff)),
+                              float(np.linalg.norm(diff if mask is None else diff[mask])),
+                              masked_grad_max)
 
     trajectory: list[TrainingRecord] = []
     running_masked_max = 0.0
@@ -410,7 +397,6 @@ def train_contrastive(
         for step in range(cfg.steps + 1):
             grad_x, grad_y, loss = _gradients(x, y, tau, span, ws)
             if mask is not None:
-                seen = []
                 for g in (grad_x, grad_y):
                     if q is None:
                         # The mask is range-checked, so "clip" never clips; it gathers
@@ -418,10 +404,10 @@ def train_contrastive(
                         np.take(g, mask, axis=1, out=masked_abs, mode="clip")
                     else:
                         np.matmul(g[:, k:], q.T, out=masked_abs)
-                    seen.append(float(np.abs(masked_abs, out=masked_abs).max()))
-                running_masked_max = max(running_masked_max, max(seen))
+                    running_masked_max = max(running_masked_max,
+                                             float(np.abs(masked_abs, out=masked_abs).max()))
             if step % cfg.record_every == 0 or step == cfg.steps:
-                trajectory.append(snapshot(step, loss, running_masked_max))
+                trajectory.append(record(step, loss, running_masked_max))
                 running_masked_max = 0.0
             if step == cfg.steps:
                 break
@@ -432,7 +418,7 @@ def train_contrastive(
                 a -= g
             if _first_nonfinite(x) is not None or _first_nonfinite(y) is not None:
                 raise FloatingPointError(f"update diverged at step {step}")
-            if cfg.renormalize_each_step:
+            if unit:
                 # The rows are finite here, so dividing them by their norms keeps
                 # them finite: of EmbeddingMatrix's unit-norm checks only the
                 # zero row and the 1e-9 norm band can fail.
@@ -442,11 +428,8 @@ def train_contrastive(
                 except ValueError as exc:
                     raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
 
-    if q is not None:
-        # release the step's buffers before the d-column copies
-        del ws, grad_x, grad_y, masked_abs
-        x, y = full(x), full(y)
-    unit = cfg.renormalize_each_step  # the projection kept the state on the sphere
+    del ws, grad_x, grad_y, masked_abs  # release the step's buffers before mapping back
+    x, y = full(x), full(y)
     final = PairedEmbeddings(x=EmbeddingMatrix(x, unit_norm=unit), y=EmbeddingMatrix(y, unit_norm=unit))
     return TrainingResult(trajectory=trajectory, final=final)
 

@@ -13,10 +13,13 @@ alignment noise estimate). Five statistics summarize the geometry, each as
 * noise direction cos(eps_j, eps_k) over within-group index pairs
 
 A constant gap shows up as (near-constant length, direction near 1,
-orthogonality near 0); Gaussian noise as (noise mean near 0, direction
-near 0). The statistics are designed for unit-norm embeddings but the
-pipeline accepts any pairs so exact synthetic constructions can be fed in
-unmodified.
+orthogonality near 0); Gaussian noise as (direction near 0). The noise mean
+is 0 up to rounding on any input, since each group's residuals are taken
+from that group's own mean, so gap-stats' ``noise_mean_zero`` check cannot
+fail; nor can train-sim's ``loss_finite`` (the trainer raises on a
+non-finite loss first) or export's ``written`` (export raises first). The
+statistics are designed for unit-norm embeddings but the pipeline accepts
+any pairs so exact synthetic constructions can be fed in unmodified.
 """
 
 from __future__ import annotations

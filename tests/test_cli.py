@@ -203,6 +203,21 @@ class TestConfigTypes:
         assert err == ("gaplab stable-region: error: taus must be in increasing order, "
                        "got [0.07, 0.07, 0.01]\n")
 
+    @pytest.mark.parametrize("command,key,value,bound", [
+        ("verify-gradients", "max_n", 1, ">= 2"),  # numpy's "low >= high" without the check
+        ("verify-gradients", "max_d", 1, ">= 2"),
+        ("stable-region", "d", 0, "> 0"),  # "cannot normalize zero row" without the check
+    ])
+    def test_bad_size_names_its_key_before_any_batch(self, capsys, tmp_path, monkeypatch,
+                                                     command, key, value, bound):
+        def no_batch(*args):
+            raise AssertionError(f"a batch was drawn before {key} was checked")
+
+        monkeypatch.setattr(cli, "_random_unit_pairs", no_batch)
+        err = exits_2_with_one_line(capsys, tmp_path, command, {key: value})
+        assert err == (f"gaplab {command}: error: config key {key} for {command} "
+                       f"must be {bound}, got {value}\n")
+
     @pytest.mark.parametrize("tied", [False, True])
     def test_tie_rule_is_the_thresholds(self, capsys, tmp_path, monkeypatch, tied):
         # anchor 0's positive ties its hardest negative y1, which is no tie of

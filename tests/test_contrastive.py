@@ -278,13 +278,22 @@ class TestTrainer:
             w.pre_norm_x[:, w.shared_ineffective],
         )
 
-    def test_divergence_reports_step(self):
+    @pytest.mark.parametrize("tau,lr,record_every,message", [
+        (1e-4, 1e12, 10, "loss diverged at step 10"),     # found by a record
+        (0.07, 1e150, 10, "update diverged at step 2"),   # found by an update
+        (0.07, 1e150, 1, "loss diverged at step 2"),      # the record comes first
+    ])
+    def test_divergence_reports_step(self, tau, lr, record_every, message):
         w = make_collapsed_init_world(n=8, d=12, dex=2, dey=4, seed=5)
-        cfg = TrainerConfig(learning_rate=1e12, steps=50, record_every=10,
+        cfg = TrainerConfig(learning_rate=lr, steps=50, record_every=record_every,
                             renormalize_each_step=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="step"):
-                train_contrastive(w.pairs, 1e-4, cfg)
+            with pytest.raises(FloatingPointError) as want:
+                ref_alloc_train(w.pairs, tau, cfg, None)
+            with pytest.raises(FloatingPointError) as got:
+                train_contrastive(w.pairs, tau, cfg)
+        assert str(want.value) == message
+        assert str(got.value) == str(want.value)
 
     def test_unit_init_required_for_projection(self):
         raw = EmbeddingMatrix(np.random.default_rng(0).standard_normal((4, 6)))

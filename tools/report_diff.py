@@ -10,7 +10,10 @@ seed (default 0), as ``python -m gaplab`` with that tree's ``src`` on
 PYTHONPATH. Two runs on files are added: ``export`` converts an MMEB file
 that this script writes to CSV, and ``gap-stats`` analyzes a pair of such
 files. The configs name those files by paths relative to the run directory,
-so both trees echo the same config.
+so both trees echo the same config. Three train-sim runs of 300 steps reach
+the trainer paths its defaults (span form, free rows) do not: the
+long-running form, which trains in reduced coordinates; the exact form on
+free rows; and the span form on projected rows.
 
 Every ``demos/*.py`` script of either tree then runs once in each tree, in
 an empty directory with TMPDIR pointing into it; its stdout, with that TMPDIR
@@ -22,7 +25,8 @@ directories (reports and exported files) or demo outputs are identical, and
 lists every file that differs or exists on one side only, or the first
 differing line of a demo's output. It exits 0 only when everything is
 identical, 1 when anything differs and 2 when REV cannot be unpacked.
-Standard library only; train-sim at its defaults takes 1-2 min a side.
+Standard library only; train-sim at its defaults takes 1-2 min a side, and
+one seed takes 5-6 min in all.
 """
 
 from __future__ import annotations
@@ -137,7 +141,11 @@ def main(argv=None) -> int:
     runs += [("export-mmeb-csv", "export",
               {"in_file": INPUT_PATH.format("x"), "out_file": "x.csv"}),
              ("gap-stats-files", "gap-stats",
-              {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")})]
+              {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")}),
+             ("train-sim-long-running", "train-sim", {"long_running": True, "steps": 300}),
+             ("train-sim-exact-free", "train-sim", {"gradient_form": "exact", "steps": 300}),
+             ("train-sim-span-projected", "train-sim",
+              {"init": "unit", "renormalize_each_step": True, "steps": 300})]
 
     differing = 0
     for seed in args.seed:
