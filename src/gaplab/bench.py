@@ -25,6 +25,15 @@ code vector and assigns the nearest code. The codes are laid out with
 unequal norms along partially shared rays so that shrinking predictions
 (the signature of an unhandled modality gap after normalization) degrades
 accuracy smoothly rather than not at all.
+
+The squared distances to the codes are summed over the m code coordinates
+in numpy's pairwise order, the order of ``.sum(axis=-1)`` over rows of m
+terms, but as m whole codes x predictions arrays, so every inner loop runs
+over the predictions: below 8 terms left to right; up to 128, eight partial
+sums seeded by the first eight terms and combined as
+((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), then the leftover terms in order;
+above 128, two halves split at a multiple of 8. A near-tie between two
+codes is decided by those bits, so the order is pinned by a test.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ import numpy as np
 
 from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_nonnegative_finite,
-                     _check_positive_finite, _gap_frame, _orthonormal_columns, l2_normalize_rows)
+                     _check_positive_finite, _gap_frame, _orthonormal_columns, _unit_rows_into,
+                     as_array, l2_normalize_rows)
 
 __all__ = [
     "LatentSpec",
@@ -174,9 +184,11 @@ def make_toy_task(
     nuis = _NUISANCE_SCALE * rng.standard_normal((n, span_dim - (m + 1)))
     # contrastive-style unit embeddings
     y = l2_normalize_rows(np.hstack([lat, nuis]) @ basis.T)
-    x = y.values + sigma_align * rng.standard_normal((n, d))
+    x = rng.standard_normal((n, d))
+    x *= sigma_align
+    x += y.values
     if gap_norm > 0:
-        x = x + gap_norm * gap_dir
+        x += gap_norm * gap_dir
 
     order = rng.permutation(n)
     half = n // 2
@@ -210,7 +222,7 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     well posed.
     """
     _check_positive_finite("lam", lam)
-    x = np.asarray(inputs, dtype=np.float64)
+    x = as_array(inputs)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
@@ -230,14 +242,63 @@ def _variant(name: str) -> tuple[bool, str | None]:
 
 
 def _decode_inputs(rows: np.ndarray) -> np.ndarray:
-    # the contrastive-consumer convention: the decoder sees unit rows
-    return l2_normalize_rows(rows).values
+    """``l2_normalize_rows(rows).values``, with its errors, into a fresh array:
+    the contrastive-consumer convention, the decoder sees unit rows."""
+    a = as_array(rows)
+    if a.shape[0] == 0:
+        EmbeddingMatrix(a)  # raises its n x d shape error
+    out = np.empty_like(a)
+    _unit_rows_into(a, out)
+    return out
+
+
+def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
+    """``term(lo) + ... + term(lo + n - 1)`` in numpy's pairwise order, the
+    one the module docstring states (``pairwise_sum`` in numpy's
+    ``loops_utils.h.src``). ``term`` returns a fresh array."""
+    if n < 8:
+        total = term(lo)
+        for j in range(lo + 1, lo + n):
+            total += term(j)
+        return total
+    if n <= 128:
+        r = [term(lo + j) for j in range(8)]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += term(lo + i + j)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
+        for dst, src in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[dst] += r[src]
+        total = r[0]
+        for j in range(lo + tail, lo + n):
+            total += term(j)
+        return total
+    half = n // 2
+    half -= half % 8
+    total = _pairwise_sum(term, lo, half)
+    total += _pairwise_sum(term, lo + half, n - half)
+    return total
+
+
+def _code_distances(pred: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Squared distance of every prediction to every code, codes x predictions:
+    the transpose of ``((pred[:, None, :] - codes[None]) ** 2).sum(axis=-1)``
+    bit for bit, its m terms added in the same order as whole arrays."""
+    pt = np.ascontiguousarray(pred.T)
+
+    def term(j):
+        t = pt[j] - codes[:, j, None]
+        return np.square(t, out=t)
+
+    return _pairwise_sum(term, 0, pt.shape[0])
 
 
 def _metric(task: ToyTask, pred: np.ndarray) -> float:
-    """Nearest-code accuracy of ``pred``, the predictions for the test rows."""
-    d2 = ((pred[:, None, :] - task.codes[None, :, :]) ** 2).sum(axis=-1)
-    return float((d2.argmin(axis=1) == task.labels[task.test_idx]).mean())
+    """Nearest-code accuracy of ``pred``, the predictions for the test rows;
+    a tie goes to the first code."""
+    d2 = _code_distances(pred, task.codes)
+    return float((d2.argmin(axis=0) == task.labels[task.test_idx]).mean())
 
 
 def _score(task: ToyTask, train_rows: np.ndarray, test_inputs: np.ndarray, lam: float) -> float:

@@ -183,7 +183,8 @@ def _add_noise(a: np.ndarray, unit: np.ndarray, cfg: C3Config) -> np.ndarray:
     if cfg.mode == MODE_SPAN_ONLY:
         g = cfg.gap_direction
         noise -= np.outer(noise @ g, g)
-    return a + noise
+    noise += a
+    return noise
 
 
 def corrupt(m, cfg: C3Config) -> np.ndarray:
@@ -194,6 +195,9 @@ def corrupt(m, cfg: C3Config) -> np.ndarray:
     component along that direction untouched.
     """
     a = as_array(m)
+    if cfg.mode == MODE_SPAN_ONLY and cfg.gap_direction.shape[0] != a.shape[1]:
+        raise ValueError(f"gap_direction has dimension {cfg.gap_direction.shape[0]}, "
+                         f"rows have {a.shape[1]}")
     if cfg.sigma == 0.0:
         return a.copy()
     return _add_noise(a, _unit_noise(cfg.seed, *a.shape), cfg)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_nonnegative_finite,
                      _check_positive_finite, _checked_mask, _first_nonfinite,
-                     _normalize_rows_inplace, l2_normalize_rows)
+                     _unit_rows_into, l2_normalize_rows)
 
 __all__ = [
     "ContrastiveBatch",
@@ -424,7 +424,7 @@ def train_contrastive(
                 # zero row and the 1e-9 norm band can fail.
                 try:
                     for a in (x, y):
-                        _normalize_rows_inplace(a)
+                        _unit_rows_into(a, a)
                 except ValueError as exc:
                     raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
 

@@ -27,6 +27,10 @@ DEFAULT_GAMMA = 0.99
 # Size of one gathered block of float64 pair rows: small enough to stay in a
 # core's L2 cache (128 rows at d=512).
 _BLOCK_BYTES = 512 * 1024
+# Where ``_unit_rows_into`` proves its rows unit-norm instead of measuring them
+# again: every row norm at least 2**-400 and rows at most 2**20 wide.
+_MIN_PROVEN_NORM = 2.0**-400
+_MAX_PROVEN_DIM = 2**20
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -146,25 +150,30 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _unit_rows_into(a: np.ndarray, out: np.ndarray) -> None:
     """Write ``a`` with every row scaled to unit L2 norm into ``out``, which
-    may be ``a``. Raises ValueError on a zero row, reported with its index,
-    before ``out`` is written.
+    may be ``a``, and check ``out`` as ``EmbeddingMatrix(out, unit_norm=True)``
+    would, with its messages, without measuring it again where the contract
+    is already proven. Raises ValueError on a zero row, reported with its
+    index, before ``out`` is written.
+
+    The proof: when every norm of ``a`` is finite (no square overflowed) and
+    at least ``_MIN_PROVEN_NORM`` (no square that matters underflowed), and
+    d <= ``_MAX_PROVEN_DIM``, the norm, the divide and a re-measured norm of
+    ``out`` round by at most (d + 3) eps together, below ``UNIT_NORM_TOL``;
+    and ``out`` is finite, since every entry is at most its row norm. Any
+    other input gets the finiteness scan and the re-measured norm band.
     """
     norms = _row_norms(a)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot normalize zero row at index {zero[0]}")
     np.divide(a, norms[:, None], out=out)
-
-
-def _normalize_rows_inplace(a: np.ndarray) -> None:
-    """Scale every row of ``a`` to unit L2 norm in place, then check it as
-    ``EmbeddingMatrix(a, unit_norm=True)`` would, without building one.
-
-    Raises ValueError on a zero row or a row norm outside ``UNIT_NORM_TOL``
-    of 1, reported with its index.
-    """
-    _unit_rows_into(a, a)
-    _check_unit_norms(_row_norms(a))
+    # NaN fails both comparisons
+    if (norms.size and a.shape[1] <= _MAX_PROVEN_DIM
+            and norms.min() >= _MIN_PROVEN_NORM and norms.max() < np.inf):
+        return
+    if _first_nonfinite(out) is not None:
+        raise ValueError("embedding matrix contains non-finite values")
+    _check_unit_norms(_row_norms(out))
 
 
 def covariance(m) -> np.ndarray:

@@ -155,6 +155,72 @@ class TestRidgeDecoder:
         with pytest.raises(ValueError, match="positive"):
             train_decoder(np.ones((3, 2)), np.ones((3, 1)), lam=0.0)
 
+    def test_one_dimensional_inputs_rejected(self):
+        with pytest.raises(ValueError) as err:
+            train_decoder(np.ones(10), np.ones(10))
+        assert str(err.value) == "expected a 2-d matrix, got shape (10,)"
+
+
+class TestScorer:
+    """The nearest-code scorer keeps the bits of the broadcast reduction.
+
+    ``bench._code_distances`` adds its m terms in numpy's pairwise summation
+    order; if numpy changes that order, these tests are what fails.
+    """
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 8, 9, 10, 16, 17, 127, 128, 129, 300])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_distances_equal_the_broadcast_sum(self, m, scale):
+        rng = np.random.default_rng(m)
+        pred = scale * rng.standard_normal((203, m))
+        codes = rng.standard_normal((11, m))
+        want = ((pred[:, None, :] - codes[None]) ** 2).sum(axis=-1)
+        got = bench._code_distances(pred, codes)
+        assert got.shape == (11, 203)
+        assert np.array_equal(got, want.T)
+
+    def test_accuracy_equals_the_broadcast_argmin(self):
+        for seed in range(20):
+            task = make_toy_task(n=400, d=32, seed=seed)
+            x = task.pairs.x.values
+            dec = train_decoder(bench._decode_inputs(x[task.train_idx]),
+                                task.targets[task.train_idx])
+            pred = dec.predict(bench._decode_inputs(x[task.test_idx]))
+            d2 = ((pred[:, None, :] - task.codes[None]) ** 2).sum(axis=-1)
+            want = float((d2.argmin(axis=1) == task.labels[task.test_idx]).mean())
+            assert bench._metric(task, pred) == want
+
+    def test_tie_goes_to_the_first_code(self):
+        rng = np.random.default_rng(3)
+        codes = rng.standard_normal((6, 10))
+        codes[4] = codes[1]
+        pred = codes[1] + 0.01 * rng.standard_normal((50, 10))
+        d2 = bench._code_distances(pred, codes)
+        assert np.array_equal(d2[1], d2[4])
+        assert list(d2.argmin(axis=0)) == [1] * 50
+
+    def test_decode_inputs_equal_l2_normalize_rows(self):
+        rows = make_toy_task(n=400, d=32, seed=1).pairs.x.values
+        assert np.array_equal(bench._decode_inputs(rows), l2_normalize_rows(rows).values)
+
+    @pytest.mark.parametrize("rows,message", [
+        (np.full((3, 4), 1e-160),
+         f"unit_norm contract violated at row 0: norm={np.float64(1.0000055664551362)!r}"),
+        (np.full((3, 4), 1e155), f"unit_norm contract violated at row 0: norm={np.float64(0.0)!r}"),
+        (np.array([[1.0, 2.0], [np.nan, 1.0]]), "embedding matrix contains non-finite values"),
+        (np.ones((0, 4)), "embedding matrix must be n x d with n,d >= 1, got shape (0, 4)"),
+        (np.ones((2, 0)), "cannot normalize zero row at index 0"),
+        (np.ones(4), "expected a 2-d matrix, got shape (4,)"),
+    ])
+    def test_decode_inputs_keep_the_normalizer_errors(self, rows, message):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as want:
+                l2_normalize_rows(rows)
+            with pytest.raises(ValueError) as got:
+                bench._decode_inputs(rows)
+        assert str(want.value) == message
+        assert str(got.value) == message
+
 
 class TestEvaluate:
     def test_clean_task_all_variants_equal(self):

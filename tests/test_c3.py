@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaplab import c3
 from gaplab.c3 import _KEY_ROWS, C3Config, _add_noise, _unit_noise, collapse, corrupt
 from gaplab.worlds import make_gap_world
 
@@ -72,6 +73,16 @@ class TestCorrupt:
         cfg = C3Config(sigma=0.1, mode="span_only", gap_direction=g, seed=1)
         out = corrupt(m, cfg)
         np.testing.assert_allclose((out - m) @ g, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_span_only_direction_must_match_the_rows(self, sigma, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("noise was drawn")
+        monkeypatch.setattr(c3, "_unit_noise", no_noise)
+        cfg = C3Config(sigma=sigma, mode="span_only", gap_direction=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError) as err:
+            corrupt(np.ones((3, 4)), cfg)
+        assert str(err.value) == "gap_direction has dimension 2, rows have 4"
 
     def test_span_only_requires_direction(self):
         with pytest.raises(ValueError, match="gap_direction"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaplab import linalg
 from gaplab.linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
@@ -73,6 +74,47 @@ class TestNormalize:
         m = rng.standard_normal((8, 6)) * rng.uniform(0.1, 100)
         norms = np.linalg.norm(l2_normalize_rows(m).values, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
+
+
+class TestUnitRowsInto:
+    """``_unit_rows_into`` owns the unit-norm contract: in band it proves it
+    without measuring again; out of band it raises what
+    ``EmbeddingMatrix(out, unit_norm=True)`` raises."""
+
+    @pytest.mark.parametrize("scale", [2.0**-390, 1e-3, 1.0, 1e150])
+    def test_in_band_measures_once(self, monkeypatch, scale):
+        a = scale * np.random.default_rng(4).standard_normal((300, 64))
+        want = l2_normalize_rows(a).values
+        calls = []
+        row_norms = linalg._row_norms
+        monkeypatch.setattr(linalg, "_row_norms", lambda m: calls.append(m.shape) or row_norms(m))
+        out = np.empty_like(a)
+        linalg._unit_rows_into(a, out)
+        assert np.array_equal(out, want)
+        assert calls == [a.shape]
+        linalg._unit_rows_into(a, a)
+        assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("rows,message", [
+        (np.full((3, 4), 1e-160),
+         f"unit_norm contract violated at row 0: norm={np.float64(1.0000055664551362)!r}"),
+        (np.full((3, 4), 1e155), f"unit_norm contract violated at row 0: norm={np.float64(0.0)!r}"),
+        (np.array([[1.0, 2.0], [np.nan, 1.0]]), "embedding matrix contains non-finite values"),
+        (np.array([[1.0, 2.0], [np.inf, 1.0]]), "embedding matrix contains non-finite values"),
+        (np.array([[1.0, 2.0], [0.0, 0.0], [np.nan, 1.0]]), "cannot normalize zero row at index 1"),
+    ])
+    def test_out_of_band_errors_unchanged(self, rows, message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(rows, axis=1)
+            zero = np.flatnonzero(norms == 0.0)
+            with pytest.raises(ValueError) as want:
+                if zero.size:
+                    raise ValueError(f"cannot normalize zero row at index {zero[0]}")
+                EmbeddingMatrix(rows / norms[:, None], unit_norm=True)
+            with pytest.raises(ValueError) as got:
+                linalg._unit_rows_into(rows, np.empty_like(rows))
+        assert str(want.value) == message
+        assert str(got.value) == message
 
 
 class TestCovariance:

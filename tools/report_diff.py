@@ -1,7 +1,7 @@
 """Compare every gaplab command's reports and every demo's output between the
 working tree and a revision.
 
-    python tools/report_diff.py --base REV [--seed N ...]
+    python tools/report_diff.py --base REV [--seed N ...] [--command NAME ...]
 
 REV's committed files are unpacked (``git archive``) under the git-ignored
 ``tools/out/report-diff/``, which each run empties first. Every command in
@@ -14,6 +14,10 @@ so both trees echo the same config. Three train-sim runs of 300 steps reach
 the trainer paths its defaults (span form, free rows) do not: the
 long-running form, which trains in reduced coordinates; the exact form on
 free rows; and the span form on projected rows.
+
+``--command NAME``, repeatable, keeps only the runs of the named commands
+(all four train-sim runs for ``train-sim``) and skips the demos: c3-bench and
+shift-sweep alone take about 3 s a seed.
 
 Every ``demos/*.py`` script of either tree then runs once in each tree, in
 an empty directory with TMPDIR pointing into it; its stdout, with that TMPDIR
@@ -123,6 +127,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--seed", type=int, nargs="+", default=[0], help="seeds to run at")
+    parser.add_argument("--command", action="append", metavar="NAME",
+                        help="run only this command (repeatable); the demos are skipped")
     args = parser.parse_args(argv)
 
     shutil.rmtree(WORK, ignore_errors=True)
@@ -146,6 +152,11 @@ def main(argv=None) -> int:
              ("train-sim-exact-free", "train-sim", {"gradient_form": "exact", "steps": 300}),
              ("train-sim-span-projected", "train-sim",
               {"init": "unit", "renormalize_each_step": True, "steps": 300})]
+    if args.command:
+        unknown = sorted(set(args.command) - {command for _, command, _ in runs})
+        if unknown:
+            parser.error(f"unknown command {unknown[0]!r}")
+        runs = [run for run in runs if run[1] in args.command]
 
     differing = 0
     for seed in args.seed:
@@ -164,7 +175,8 @@ def main(argv=None) -> int:
                     notes.append(f"differs: {path}")
             differing += _verdict(f"seed {seed} {name}", status, notes,
                                   f"{len(files['base'])} files")
-    demos = sorted({p.name for tree in trees.values() for p in (tree / "demos").glob("*.py")})
+    demos = [] if args.command else sorted(
+        {p.name for tree in trees.values() for p in (tree / "demos").glob("*.py")})
     for name in demos:
         status, out = {}, {}
         for side, tree in trees.items():
