@@ -44,8 +44,8 @@ import numpy as np
 
 from .c3 import C3Config, MODE_FULL, MODE_SPAN_ONLY, _add_noise, _unit_noise, collapse
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_nonnegative_finite,
-                     _check_positive_finite, _gap_frame, _orthonormal_columns, _unit_rows_into,
-                     as_array, l2_normalize_rows)
+                     _check_positive_finite, _gap_frame, _orthonormal_columns, as_array,
+                     l2_normalize_rows)
 
 __all__ = [
     "LatentSpec",
@@ -223,6 +223,8 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     """
     _check_positive_finite("lam", lam)
     x = as_array(inputs)
+    if x.shape[0] == 0:
+        raise ValueError(f"train_decoder needs at least one input row, got shape {x.shape}")
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
@@ -239,17 +241,6 @@ def _variant(name: str) -> tuple[bool, str | None]:
     if name not in _VARIANTS:
         raise ValueError(f"unknown variant {name!r}")
     return _VARIANTS[name]
-
-
-def _decode_inputs(rows: np.ndarray) -> np.ndarray:
-    """``l2_normalize_rows(rows).values``, with its errors, into a fresh array:
-    the contrastive-consumer convention, the decoder sees unit rows."""
-    a = as_array(rows)
-    if a.shape[0] == 0:
-        EmbeddingMatrix(a)  # raises its n x d shape error
-    out = np.empty_like(a)
-    _unit_rows_into(a, out)
-    return out
 
 
 def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
@@ -302,8 +293,9 @@ def _metric(task: ToyTask, pred: np.ndarray) -> float:
 
 
 def _score(task: ToyTask, train_rows: np.ndarray, test_inputs: np.ndarray, lam: float) -> float:
-    """Fit the decoder on ``train_rows`` and score it on decoded test rows."""
-    decoder = train_decoder(_decode_inputs(train_rows), task.targets[task.train_idx], lam)
+    """Fit the decoder on ``train_rows`` and score it on ``test_inputs``, unit test rows."""
+    targets = task.targets[task.train_idx]
+    decoder = train_decoder(l2_normalize_rows(train_rows).values, targets, lam)
     return _metric(task, decoder.predict(test_inputs))
 
 
@@ -312,7 +304,7 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
 
     Collapse means follow the uni-modal recipe: the train side uses the mean
     of its own training y rows, the test side the mean of its own test x
-    rows. The raw or collapsed train rows and decoded test inputs each cell
+    rows. The raw or collapsed train rows and normalized test inputs each cell
     needs are prepared once, and the keyed unit noise of the train rows is
     drawn once, at the first corrupting cell with a nonzero sigma; every
     corrupting cell rescales that one draw.
@@ -321,7 +313,7 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
     y_train = task.pairs.y.values[task.train_idx]
     x_test = task.pairs.x.values[task.test_idx]
     train_base = {c: collapse(y_train, y_train.mean(axis=0)) if c else y_train for c in sides}
-    test_inputs = {c: _decode_inputs(collapse(x_test, x_test.mean(axis=0)) if c else x_test)
+    test_inputs = {c: l2_normalize_rows(collapse(x_test, x_test.mean(axis=0)) if c else x_test)
                    for c in sides}
     unit = None
     scores = []
@@ -334,7 +326,7 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
                 if unit is None:
                     unit = _unit_noise(noise_seed, *y_train.shape)
                 train_rows = _add_noise(train_rows, unit, cfg)
-        scores.append(_score(task, train_rows, test_inputs[collapsed], lam))
+        scores.append(_score(task, train_rows, test_inputs[collapsed].values, lam))
     return scores
 
 
@@ -355,7 +347,7 @@ def evaluate_crossmodal(
 def in_modality_metric(task: ToyTask, lam: float = 1e-3) -> float:
     """Train on x-side train rows, test on x-side test rows (no transfer)."""
     x = task.pairs.x.values
-    return _score(task, x[task.train_idx], _decode_inputs(x[task.test_idx]), lam)
+    return _score(task, x[task.train_idx], l2_normalize_rows(x[task.test_idx]).values, lam)
 
 
 @dataclass(frozen=True)
@@ -451,7 +443,7 @@ def gap_shift_sweep(
         direction = task.gap_direction
 
     y_train = task.pairs.y.values[task.train_idx]
-    decoder = train_decoder(_decode_inputs(y_train), task.targets[task.train_idx], lam)
+    decoder = train_decoder(l2_normalize_rows(y_train).values, task.targets[task.train_idx], lam)
     x_test = task.pairs.x.values[task.test_idx]
-    return [(c, _metric(task, decoder.predict(_decode_inputs(x_test + c * direction))))
+    return [(c, _metric(task, decoder.predict(l2_normalize_rows(x_test + c * direction).values)))
             for c in norms]

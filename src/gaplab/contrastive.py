@@ -419,9 +419,7 @@ def train_contrastive(
             if _first_nonfinite(x) is not None or _first_nonfinite(y) is not None:
                 raise FloatingPointError(f"update diverged at step {step}")
             if unit:
-                # The rows are finite here, so dividing them by their norms keeps
-                # them finite: of EmbeddingMatrix's unit-norm checks only the
-                # zero row and the 1e-9 norm band can fail.
+                # The rows are finite: only a zero row or _check_rows' 1e-9 band can fail.
                 try:
                     for a in (x, y):
                         _unit_rows_into(a, a)
@@ -432,6 +430,12 @@ def train_contrastive(
     x, y = full(x), full(y)
     final = PairedEmbeddings(x=EmbeddingMatrix(x, unit_norm=unit), y=EmbeddingMatrix(y, unit_norm=unit))
     return TrainingResult(trajectory=trajectory, final=final)
+
+
+def _crowding(shifted: np.ndarray, tau: float) -> tuple[float, int]:
+    """o' = 1 + sum exp(shifted / tau) of a max-shifted profile, and o = ceil(o')."""
+    o_prime = 1.0 + float(np.exp(shifted / tau).sum())
+    return o_prime, int(math.ceil(o_prime))
 
 
 def _threshold(tau: float, o: int, delta: float) -> float:
@@ -465,8 +469,7 @@ def stable_region_threshold(similarities, tau: float, delta: float) -> float:
         raise ValueError("similarity profile must be finite")
     _check_unique_max(t)
     m = int(np.argmax(t))
-    o_prime = 1.0 + float(np.exp((np.delete(t, m) - t[m]) / tau).sum())
-    return _threshold(tau, int(math.ceil(o_prime)), delta)
+    return _threshold(tau, _crowding(np.delete(t, m) - t[m], tau)[1], delta)
 
 
 @dataclass(frozen=True)
@@ -497,8 +500,7 @@ def _anchor_reports(sims: np.ndarray, i: int, taus, delta: float) -> list[Stable
     shifted = np.delete(negatives, m) - negatives[m]
     reports = []
     for tau in taus:
-        o_prime = 1.0 + float(np.exp(shifted / tau).sum())
-        o = int(math.ceil(o_prime))
+        o_prime, o = _crowding(shifted, tau)
         # Writing the anchor loss as log1p(o' * e^(-r/tau)) is exact (shift the
         # log-sum-exp at the hardest negative) and shares every factor with the
         # bound, so the bound can never be undercut by rounding alone.

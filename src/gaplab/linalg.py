@@ -27,8 +27,7 @@ DEFAULT_GAMMA = 0.99
 # Size of one gathered block of float64 pair rows: small enough to stay in a
 # core's L2 cache (128 rows at d=512).
 _BLOCK_BYTES = 512 * 1024
-# Where ``_unit_rows_into`` proves its rows unit-norm instead of measuring them
-# again: every row norm at least 2**-400 and rows at most 2**20 wide.
+# Smallest row norm and widest row for which ``_unit_rows_into`` proves unit norms
 _MIN_PROVEN_NORM = 2.0**-400
 _MAX_PROVEN_DIM = 2**20
 
@@ -72,14 +71,15 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"embedding matrix must be n x d with n,d >= 1, got shape {a.shape}")
-        # Both checks scan one row block at a time: no n x d temporaries.
-        if _first_nonfinite(a) is not None:
-            raise ValueError("embedding matrix contains non-finite values")
-        if self.unit_norm:
-            _check_unit_norms(_row_norms(a))
+        _check_rows(a, self.unit_norm)
         object.__setattr__(self, "values", a)
+
+    @classmethod
+    def _unit(cls, values: np.ndarray) -> EmbeddingMatrix:
+        """Rows that ``_unit_rows_into`` has proven or checked, not checked again."""
+        m = object.__new__(cls)
+        m.__dict__.update(values=values, unit_norm=True)
+        return m
 
     @property
     def n(self) -> int:
@@ -113,7 +113,8 @@ class PairedEmbeddings:
 
 
 def l2_normalize_rows(m) -> EmbeddingMatrix:
-    """Scale every row to unit L2 norm, preserving its direction.
+    """Scale every row to unit L2 norm, preserving its direction. The result
+    skips ``_check_rows``: ``_unit_rows_into`` has proven or run it.
 
     Raises
     ------
@@ -123,13 +124,24 @@ def l2_normalize_rows(m) -> EmbeddingMatrix:
     a = as_array(m)
     out = np.empty_like(a)
     _unit_rows_into(a, out)
-    return EmbeddingMatrix(out, unit_norm=True)
+    return EmbeddingMatrix._unit(out)
 
 
-def _check_unit_norms(norms: np.ndarray) -> None:
-    """Raise ValueError unless every row norm is within ``UNIT_NORM_TOL`` of 1."""
-    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
-    if bad.size:
+def _check_rows(a: np.ndarray, unit_norm: bool) -> None:
+    """The one row check: ValueError, with EmbeddingMatrix's messages, unless
+    ``a`` is n x d with n, d >= 1, finite and, with ``unit_norm``, every row
+    norm within ``UNIT_NORM_TOL`` of 1. A NaN or infinity puts its row's norm
+    out of that band, so the finiteness scan runs only when some norm is out."""
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"embedding matrix must be n x d with n,d >= 1, got shape {a.shape}")
+    if unit_norm:
+        norms = _row_norms(a)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+        if not bad.size:
+            return
+    if _first_nonfinite(a) is not None:
+        raise ValueError("embedding matrix contains non-finite values")
+    if unit_norm:
         raise ValueError(f"unit_norm contract violated at row {bad[0]}: norm={norms[bad[0]]!r}")
 
 
@@ -150,30 +162,23 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 def _unit_rows_into(a: np.ndarray, out: np.ndarray) -> None:
     """Write ``a`` with every row scaled to unit L2 norm into ``out``, which
-    may be ``a``, and check ``out`` as ``EmbeddingMatrix(out, unit_norm=True)``
-    would, with its messages, without measuring it again where the contract
-    is already proven. Raises ValueError on a zero row, reported with its
-    index, before ``out`` is written.
+    may be ``a``; ValueError on a zero row (with its index) before ``out`` is
+    written, or from ``_check_rows(out, unit_norm=True)`` unless proven.
 
     The proof: when every norm of ``a`` is finite (no square overflowed) and
     at least ``_MIN_PROVEN_NORM`` (no square that matters underflowed), and
     d <= ``_MAX_PROVEN_DIM``, the norm, the divide and a re-measured norm of
     ``out`` round by at most (d + 3) eps together, below ``UNIT_NORM_TOL``;
-    and ``out`` is finite, since every entry is at most its row norm. Any
-    other input gets the finiteness scan and the re-measured norm band.
+    and ``out`` is finite, since every entry is at most its row norm.
     """
     norms = _row_norms(a)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot normalize zero row at index {zero[0]}")
     np.divide(a, norms[:, None], out=out)
-    # NaN fails both comparisons
-    if (norms.size and a.shape[1] <= _MAX_PROVEN_DIM
+    if not (norms.size and a.shape[1] <= _MAX_PROVEN_DIM  # NaN fails both comparisons
             and norms.min() >= _MIN_PROVEN_NORM and norms.max() < np.inf):
-        return
-    if _first_nonfinite(out) is not None:
-        raise ValueError("embedding matrix contains non-finite values")
-    _check_unit_norms(_row_norms(out))
+        _check_rows(out, unit_norm=True)
 
 
 def covariance(m) -> np.ndarray:

@@ -29,6 +29,7 @@ from .linalg import (
     _gap_frame,
     _row_blocks,
     _row_norms,
+    _unit_rows_into,
     covariance,
     l2_normalize_rows,
     mean_pairwise_cosine,
@@ -101,7 +102,7 @@ def make_gap_world(
     gap = np.zeros(d) if direction is None else gap_norm * direction
 
     coeffs = rng.standard_normal((n, span_dim))
-    coeffs /= _row_norms(coeffs)[:, None]
+    _unit_rows_into(coeffs, coeffs)
     y = coeffs @ basis.T
     del coeffs  # freed before x is built
 

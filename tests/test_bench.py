@@ -1,6 +1,7 @@
 """Cross-modal transfer benchmark tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,14 @@ class TestRidgeDecoder:
             train_decoder(np.ones(10), np.ones(10))
         assert str(err.value) == "expected a 2-d matrix, got shape (10,)"
 
+    @pytest.mark.parametrize("targets", [np.ones((0, 2)), np.ones((4, 2))])
+    def test_zero_rows_rejected_before_any_mean(self, targets):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+            with pytest.raises(ValueError) as err:
+                train_decoder(np.ones((0, 3)), targets)
+        assert str(err.value) == "train_decoder needs at least one input row, got shape (0, 3)"
+
 
 class TestScorer:
     """The nearest-code scorer keeps the bits of the broadcast reduction.
@@ -183,9 +192,9 @@ class TestScorer:
         for seed in range(20):
             task = make_toy_task(n=400, d=32, seed=seed)
             x = task.pairs.x.values
-            dec = train_decoder(bench._decode_inputs(x[task.train_idx]),
+            dec = train_decoder(l2_normalize_rows(x[task.train_idx]).values,
                                 task.targets[task.train_idx])
-            pred = dec.predict(bench._decode_inputs(x[task.test_idx]))
+            pred = dec.predict(l2_normalize_rows(x[task.test_idx]).values)
             d2 = ((pred[:, None, :] - task.codes[None]) ** 2).sum(axis=-1)
             want = float((d2.argmin(axis=1) == task.labels[task.test_idx]).mean())
             assert bench._metric(task, pred) == want
@@ -198,28 +207,6 @@ class TestScorer:
         d2 = bench._code_distances(pred, codes)
         assert np.array_equal(d2[1], d2[4])
         assert list(d2.argmin(axis=0)) == [1] * 50
-
-    def test_decode_inputs_equal_l2_normalize_rows(self):
-        rows = make_toy_task(n=400, d=32, seed=1).pairs.x.values
-        assert np.array_equal(bench._decode_inputs(rows), l2_normalize_rows(rows).values)
-
-    @pytest.mark.parametrize("rows,message", [
-        (np.full((3, 4), 1e-160),
-         f"unit_norm contract violated at row 0: norm={np.float64(1.0000055664551362)!r}"),
-        (np.full((3, 4), 1e155), f"unit_norm contract violated at row 0: norm={np.float64(0.0)!r}"),
-        (np.array([[1.0, 2.0], [np.nan, 1.0]]), "embedding matrix contains non-finite values"),
-        (np.ones((0, 4)), "embedding matrix must be n x d with n,d >= 1, got shape (0, 4)"),
-        (np.ones((2, 0)), "cannot normalize zero row at index 0"),
-        (np.ones(4), "expected a 2-d matrix, got shape (4,)"),
-    ])
-    def test_decode_inputs_keep_the_normalizer_errors(self, rows, message):
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError) as want:
-                l2_normalize_rows(rows)
-            with pytest.raises(ValueError) as got:
-                bench._decode_inputs(rows)
-        assert str(want.value) == message
-        assert str(got.value) == message
 
 
 class TestEvaluate:

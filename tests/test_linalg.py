@@ -76,6 +76,75 @@ class TestNormalize:
         assert np.abs(norms - 1.0).max() < 1e-12
 
 
+def counted(monkeypatch, name):
+    """The shapes ``linalg.<name>`` is called with from now on, in order."""
+    calls = []
+    fn = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda m: calls.append(m.shape) or fn(m))
+    return calls
+
+
+NON_FINITE = "embedding matrix contains non-finite values"
+
+
+def shape_message(shape):
+    return f"embedding matrix must be n x d with n,d >= 1, got shape {shape}"
+
+
+def norm_message(row, norm):
+    return f"unit_norm contract violated at row {row}: norm={np.float64(norm)!r}"
+
+
+# The messages of EmbeddingMatrix, EmbeddingMatrix(unit_norm=True),
+# l2_normalize_rows and _unit_rows_into on each input; None where it passes.
+ROW_CHECK_CASES = [
+    (np.array([[1.0, 2.0], [np.nan, 1.0]]), [NON_FINITE] * 4),
+    (np.array([[1.0, 2.0], [np.inf, 1.0]]), [NON_FINITE] * 4),
+    (np.full((3, 4), 1e-160),
+     [None, norm_message(0, 1.999988867151698e-160)] + [norm_message(0, 1.0000055664551362)] * 2),
+    (np.full((3, 4), 1e155), [None, norm_message(0, np.inf)] + [norm_message(0, 0.0)] * 2),
+    (np.array([[0.6, 0.8], [1e200, 1e200]]),
+     [None, norm_message(1, np.inf)] + [norm_message(1, 0.0)] * 2),
+    (np.ones((0, 4)), [shape_message((0, 4))] * 4),
+    (np.ones((2, 0)), [shape_message((2, 0))] * 2 + ["cannot normalize zero row at index 0"] * 2),
+    (np.array([[1.0, 2.0], [0.0, 0.0], [np.nan, 1.0]]),
+     [NON_FINITE] * 2 + ["cannot normalize zero row at index 1"] * 2),
+    (np.array([[3.0, 4.0], [np.nan, 1.0]]), [NON_FINITE] * 4),
+    (np.array([[0.6, 0.8], [np.nan, 1.0]]), [NON_FINITE] * 4),
+    (np.array([[0.6, 0.8], [1.0, 0.0]]), [None] * 4),
+]
+
+
+class TestCheckRows:
+    """``_check_rows`` is the one row check: in band a unit-norm check
+    measures the norms once and never scans for non-finite entries; out of
+    band the messages and their precedence are the ones pinned here."""
+
+    def test_in_band_measures_once_and_never_scans(self, monkeypatch):
+        a = l2_normalize_rows(np.random.default_rng(5).standard_normal((300, 64))).values
+        norms, scans = counted(monkeypatch, "_row_norms"), counted(monkeypatch, "_first_nonfinite")
+        EmbeddingMatrix(a, unit_norm=True)
+        assert (norms, scans) == ([a.shape], [])
+
+    @pytest.mark.parametrize("rows,messages", ROW_CHECK_CASES)
+    def test_messages(self, rows, messages):
+        checks = [EmbeddingMatrix, lambda a: EmbeddingMatrix(a, unit_norm=True),
+                  l2_normalize_rows, lambda a: linalg._unit_rows_into(a, np.empty_like(a))]
+        for check, message in zip(checks, messages):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if message is None:
+                    check(rows.copy())
+                    continue
+                with pytest.raises(ValueError) as err:
+                    check(rows.copy())
+            assert str(err.value) == message
+
+    def test_one_dimensional_input(self):
+        with pytest.raises(ValueError) as err:
+            l2_normalize_rows(np.ones(4))
+        assert str(err.value) == "expected a 2-d matrix, got shape (4,)"
+
+
 class TestUnitRowsInto:
     """``_unit_rows_into`` owns the unit-norm contract: in band it proves it
     without measuring again; out of band it raises what
@@ -85,12 +154,14 @@ class TestUnitRowsInto:
     def test_in_band_measures_once(self, monkeypatch, scale):
         a = scale * np.random.default_rng(4).standard_normal((300, 64))
         want = l2_normalize_rows(a).values
-        calls = []
-        row_norms = linalg._row_norms
-        monkeypatch.setattr(linalg, "_row_norms", lambda m: calls.append(m.shape) or row_norms(m))
+        calls = counted(monkeypatch, "_row_norms")
         out = np.empty_like(a)
         linalg._unit_rows_into(a, out)
         assert np.array_equal(out, want)
+        assert calls == [a.shape]
+        calls.clear()
+        got = l2_normalize_rows(a)
+        assert np.array_equal(got.values, want) and got.unit_norm
         assert calls == [a.shape]
         linalg._unit_rows_into(a, a)
         assert np.array_equal(a, want)

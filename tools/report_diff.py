@@ -10,10 +10,12 @@ seed (default 0), as ``python -m gaplab`` with that tree's ``src`` on
 PYTHONPATH. Two runs on files are added: ``export`` converts an MMEB file
 that this script writes to CSV, and ``gap-stats`` analyzes a pair of such
 files. The configs name those files by paths relative to the run directory,
-so both trees echo the same config. Three train-sim runs of 300 steps reach
-the trainer paths its defaults (span form, free rows) do not: the
-long-running form, which trains in reduced coordinates; the exact form on
-free rows; and the span form on projected rows.
+so both trees echo the same config. ``gap-stats-span`` runs gap-stats on a
+world with span-mode noise, which its defaults (full-mode) do not reach.
+Three train-sim runs of 300 steps reach the trainer paths its defaults (span
+form, free rows) do not: the long-running form, which trains in reduced
+coordinates; the exact form on free rows; and the span form on projected
+rows.
 
 ``--command NAME``, repeatable, keeps only the runs of the named commands
 (all four train-sim runs for ``train-sim``) and skips the demos: c3-bench and
@@ -27,8 +29,10 @@ status are compared.
 For each run the script prints whether the two exit statuses and the two run
 directories (reports and exported files) or demo outputs are identical, and
 lists every file that differs or exists on one side only, or the first
-differing line of a demo's output. It exits 0 only when everything is
-identical, 1 when anything differs and 2 when REV cannot be unpacked.
+differing line of a demo's output; the summary line also gives each tree's
+line count of ``src/gaplab/*.py`` (as ``wc -l``), which the exit status
+ignores. It exits 0 only when everything is identical, 1 when anything
+differs and 2 when REV cannot be unpacked.
 Standard library only; train-sim at its defaults takes 1-2 min a side, and
 one seed takes 5-6 min in all.
 """
@@ -118,6 +122,11 @@ def _verdict(label: str, status: dict, notes: list[str], size: str) -> bool:
     return bool(notes)
 
 
+def _src_lines(tree: Path) -> int:
+    """Newlines in the tree's ``src/gaplab/*.py``, the total of ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "gaplab").glob("*.py"))
+
+
 def _files(d: Path) -> dict:
     return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*"))
             if p.is_file()}
@@ -148,6 +157,7 @@ def main(argv=None) -> int:
               {"in_file": INPUT_PATH.format("x"), "out_file": "x.csv"}),
              ("gap-stats-files", "gap-stats",
               {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")}),
+             ("gap-stats-span", "gap-stats", {"noise_mode": "span"}),
              ("train-sim-long-running", "train-sim", {"long_running": True, "steps": 300}),
              ("train-sim-exact-free", "train-sim", {"gradient_form": "exact", "steps": 300}),
              ("train-sim-span-projected", "train-sim",
@@ -186,7 +196,9 @@ def main(argv=None) -> int:
                  for n, (a, b) in enumerate(pairs, 1) if a != b][:1]
         differing += _verdict(f"demo {name}", status, notes, f"{len(out['base'])} lines")
     total = len(args.seed) * len(runs) + len(demos)
-    print(f"{total - differing} of {total} runs identical")
+    lines = {side: _src_lines(tree) for side, tree in trees.items()}
+    print(f"{total - differing} of {total} runs identical "
+          f"(src/gaplab/*.py lines: base {lines['base']}, change {lines['change']})")
     return 1 if differing else 0
 
 
