@@ -188,10 +188,7 @@ def _cmd_train_sim(p):
         "max_masked_grad": max(r.masked_grad_max for r in traj),
         "checkpoints": len(traj),
     }
-    checks = {
-        "loss_finite": all(math.isfinite(v) for v in losses),
-        "loss_decreased": losses[-1] < losses[0],
-    }
+    checks = {"loss_decreased": losses[-1] < losses[0]}  # the trainer raises on a non-finite loss
     if p["gradient_form"] == "span":
         checks["masked_grad_exactly_zero"] = results["max_masked_grad"] == 0.0
     if p["long_running"]:
@@ -365,7 +362,7 @@ def _cmd_export(p):
     embio.export(matrix, p["out_file"], p["out_format"])
     results = {"rows": matrix.n, "cols": matrix.d,
                "written": os.path.getsize(p["out_file"])}
-    return results, {"written": os.path.exists(p["out_file"])}, []
+    return results, {}, []  # export raises unless the file was written
 
 
 class _Command(NamedTuple):

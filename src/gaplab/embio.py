@@ -168,8 +168,8 @@ def write_csv(matrix, path: str) -> None:
     ``_row_blocks`` block of lines at a time (no rows: one empty line)."""
     values = as_array(matrix)
     _check_finite(values)
-    blocks = ("".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                      for row in values[blk]).encode("ascii")
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    blocks = ("".join(line % tuple(row.tolist()) for row in values[blk]).encode("ascii")
               for blk in _row_blocks(*values.shape))
     _atomic_write(path, blocks if len(values) else b"\n")
 

@@ -186,15 +186,17 @@ def covariance(m) -> np.ndarray:
 
     The divide-by-n convention is fixed here: variance-explained ratios
     derived from the spectrum are invariant to it, but the raw matrix
-    is not, so callers can rely on one choice.
+    is not, so callers can rely on one choice. numpy forms ``a.T @ a`` with
+    one BLAS syrk and mirrors its triangle, so the result is exactly
+    symmetric without averaging it with its transpose.
     """
     a = as_array(m)
     n = a.shape[0]
     if n < 2:
         raise ValueError(f"covariance needs at least 2 rows, got {n}")
     centered = a - a.mean(axis=0)
-    c = centered.T @ centered / n
-    return (c + c.T) / 2.0
+    c = centered.T @ centered
+    return np.divide(c, n, out=c)
 
 
 @dataclass(frozen=True)

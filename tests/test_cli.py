@@ -446,7 +446,9 @@ class TestCommands:
         rc = main(["train-sim", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "train-sim.json").read_text())
-        assert doc["checks"]["masked_grad_exactly_zero"]
+        # only checks that can fail: a non-finite loss raises before any report
+        assert doc["checks"] == {"loss_decreased": True, "masked_grad_exactly_zero": True,
+                                 "final_loss_below_0.01": True, "masked_gap_in_band": True}
         assert doc["results"]["final_loss"] < 0.01
         assert (out / "train-sim.trajectory.csv").exists()
 
@@ -458,7 +460,8 @@ class TestCommands:
         rc = main(["train-sim", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "train-sim.json").read_text())
-        assert "masked_grad_exactly_zero" not in doc["checks"]
+        assert sorted(doc["checks"]) == ["final_loss_below_0.01", "loss_decreased",
+                                         "masked_gap_in_band"]
         assert doc["results"]["max_masked_grad"] > 0.0
 
     def test_mlp_collapse_small_config(self, tmp_path):
@@ -484,6 +487,32 @@ class TestCommands:
         rc = main(["export", "--config", str(cfg), "--out", str(tmp_path / "rep")])
         assert rc == 0
         np.testing.assert_array_equal(read_csv(str(dst)).values, m)
+        doc = json.loads((tmp_path / "rep" / "export.json").read_text())
+        # no check can fail once the file is written: export raises first
+        assert (doc["checks"], doc["passed"]) == ({}, True)
+        assert doc["results"]["written"] == dst.stat().st_size
+
+    def test_export_into_a_missing_directory_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("1.0,2.0\n")
+        dst = tmp_path / "absent" / "out.mmeb"
+        err = exits_2_with_one_line(capsys, tmp_path, "export",
+                                    {"in_file": str(src), "in_format": "csv",
+                                     "out_file": str(dst), "out_format": "mmeb"})
+        assert "No such file or directory" in err
+        assert not dst.parent.exists()
+
+    def test_gap_stats_noise_mean_check_can_fail(self, tmp_path):
+        # the noise mean is 0 only up to rounding at the data's scale
+        cfg = tmp_path / "c.json"
+        out = tmp_path / "out"
+        checks = {}
+        for sigma in (1e15, 1e18):
+            cfg.write_text(json.dumps({"n": 2000, "d": 64, "span_dim": 16, "sigma": sigma}))
+            assert main(["gap-stats", "--config", str(cfg), "--out", str(out)]) == 1
+            doc = json.loads((out / "gap-stats.json").read_text())
+            checks[sigma] = doc["checks"]["noise_mean_zero"]
+        assert checks == {1e15: True, 1e18: False}
 
     def test_gap_stats_ingestion_path(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -105,6 +105,17 @@ class TestCsv:
         write_csv(np.array([[1.0 / 3.0]]), str(path))
         assert path.read_text().strip() == "0.33333333333333331"
 
+    def test_bytes_are_each_values_17_digit_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        edge = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300,
+                np.finfo(np.float64).max, 1.0 / 3.0, 1e16, 1e17]
+        for m in (rng.standard_normal((1000, 128)), np.array([edge, edge[::-1]]),
+                  np.zeros((3, 0))):
+            path = tmp_path / "m.csv"
+            write_csv(m, str(path))
+            expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+            assert path.read_bytes() == expected.encode("ascii")
+
     def test_optional_header_skipped(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n1.5,2.5\n3.5,4.5\n")

@@ -218,9 +218,25 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance([[1.0, 2.0]])
 
-    def test_symmetric(self):
-        c = covariance(np.random.default_rng(1).standard_normal((40, 7)))
-        assert np.abs(c - c.T).max() <= 1e-12
+    @staticmethod
+    def averaged(m):
+        """The covariance averaged with its own transpose, as it once was."""
+        a = np.asarray(m, dtype=np.float64)
+        centered = a - a.mean(axis=0)
+        c = centered.T @ centered / a.shape[0]
+        return (c + c.T) / 2.0
+
+    @pytest.mark.parametrize("make", [
+        *[lambda rng, s=s: rng.standard_normal(s) * 3.0 + 1.0
+          for s in [(1000, 512), (100, 512), (2, 3), (5000, 64), (37, 129), (1000, 1)]],
+        lambda rng: rng.standard_normal((300, 200))[::3, 1::2],  # strided, not contiguous
+        lambda rng: rng.standard_normal((200, 48)).astype(np.float32),
+    ])
+    def test_exactly_symmetric_without_averaging(self, make):
+        m = make(np.random.default_rng(1))
+        c = covariance(m)
+        assert np.array_equal(c, c.T)
+        assert np.array_equal(c, self.averaged(m))
 
 
 class TestSpectralSummary:

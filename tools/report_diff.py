@@ -29,7 +29,9 @@ status are compared.
 For each run the script prints whether the two exit statuses and the two run
 directories (reports and exported files) or demo outputs are identical, and
 lists every file that differs or exists on one side only, or the first
-differing line of a demo's output; the summary line also gives each tree's
+differing line of a demo's output. For a ``*.json`` report that differs it
+lists the key paths that differ instead (at most ``MAX_KEY_NOTES`` per file),
+e.g. ``train-sim.json: checks.loss_finite only in base``; the summary line also gives each tree's
 line count of ``src/gaplab/*.py`` (as ``wc -l``), which the exit status
 ignores. It exits 0 only when everything is identical, 1 when anything
 differs and 2 when REV cannot be unpacked.
@@ -56,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / "tools" / "out" / "report-diff"
 INPUT_ROWS, INPUT_COLS = 1000, 32  # ten groups of gap-stats' default 100 pairs
 INPUT_PATH = "../../../inputs/{}.mmeb"  # from WORK/<side>/seed<N>/<run>/
+MAX_KEY_NOTES = 10
 
 
 def _unpack(rev: str, dest: Path) -> None:
@@ -127,6 +130,40 @@ def _src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "gaplab").glob("*.py"))
 
 
+def _key_diffs(base, change, path=""):
+    """Key paths (``a.b[2]``) at which two parsed JSON documents differ."""
+    if isinstance(base, dict) and isinstance(change, dict):
+        for key in sorted(set(base) | set(change)):
+            sub = f"{path}.{key}" if path else key
+            if key not in change:
+                yield f"{sub} only in base"
+            elif key not in base:
+                yield f"{sub} only in change"
+            else:
+                yield from _key_diffs(base[key], change[key], sub)
+    elif isinstance(base, list) and isinstance(change, list) and len(base) == len(change):
+        for i, (a, b) in enumerate(zip(base, change)):
+            yield from _key_diffs(a, b, f"{path}[{i}]")
+    elif type(base) is not type(change) or base != change:
+        short = {side: json.dumps(v)[:40] for side, v in (("base", base), ("change", change))}
+        yield f"{path or '<document>'}: base {short['base']}, change {short['change']}"
+
+
+def _file_notes(path: str, base: bytes, change: bytes) -> list[str]:
+    """What differs between two versions of one file: the JSON key paths of a
+    report, or just that the bytes differ."""
+    keys = []
+    if path.endswith(".json"):
+        try:
+            keys = list(_key_diffs(json.loads(base), json.loads(change)))
+        except ValueError:
+            pass
+    if not keys:  # not JSON, or the same document written differently
+        return [f"differs: {path}"]
+    more = [f"{path}: {len(keys) - MAX_KEY_NOTES} more"] if len(keys) > MAX_KEY_NOTES else []
+    return [f"{path}: {key}" for key in keys[:MAX_KEY_NOTES]] + more
+
+
 def _files(d: Path) -> dict:
     return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*"))
             if p.is_file()}
@@ -182,7 +219,7 @@ def main(argv=None) -> int:
                 elif path not in files["base"]:
                     notes.append(f"only in change: {path}")
                 elif files["base"][path] != files["change"][path]:
-                    notes.append(f"differs: {path}")
+                    notes += _file_notes(path, files["base"][path], files["change"][path])
             differing += _verdict(f"seed {seed} {name}", status, notes,
                                   f"{len(files['base'])} files")
     demos = [] if args.command else sorted(
