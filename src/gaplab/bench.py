@@ -237,12 +237,6 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     return RidgeDecoder(weights=w, bias=t_mean - x_mean @ w)
 
 
-def _variant(name: str) -> tuple[bool, str | None]:
-    if name not in _VARIANTS:
-        raise ValueError(f"unknown variant {name!r}")
-    return _VARIANTS[name]
-
-
 def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
     """``term(lo) + ... + term(lo + n - 1)`` in numpy's pairwise order, the
     one the module docstring states (``pairwise_sum`` in numpy's
@@ -309,7 +303,7 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
     drawn once, at the first corrupting cell with a nonzero sigma; every
     corrupting cell rescales that one draw.
     """
-    sides = {_variant(v)[0] for v, _ in cells}
+    sides = {_VARIANTS[v][0] for v, _ in cells}
     y_train = task.pairs.y.values[task.train_idx]
     x_test = task.pairs.x.values[task.test_idx]
     train_base = {c: collapse(y_train, y_train.mean(axis=0)) if c else y_train for c in sides}
@@ -341,6 +335,8 @@ def evaluate_crossmodal(
     test transform; return the nearest-code accuracy. Variants without a
     corruption stage ignore ``train_sigma``.
     """
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     return _seed_scores(task, [(variant, train_sigma)], lam, noise_seed)[0]
 
 
@@ -363,12 +359,12 @@ class AblationRow:
 
 def run_ablation(
     task_kwargs: dict | None = None,
-    variants: tuple = VARIANTS,
     seeds: tuple = (0, 1, 2, 3, 4),
     sigma_grid: tuple = SIGMA_GRID,
     lam: float = 1e-3,
 ) -> list[AblationRow]:
-    """Evaluate every variant over seeds, sweeping the training noise level.
+    """Evaluate every variant of ``VARIANTS``, in that order, over seeds,
+    sweeping the training noise level.
 
     Variants without a corruption stage ignore the sweep. For each variant
     the grid entry with the highest seed-mean accuracy is reported (the
@@ -378,10 +374,10 @@ def run_ablation(
     seed's cells are scored by one ``_seed_scores`` call with noise seed
     ``1000 + seed``, the path ``evaluate_crossmodal`` takes for one cell.
     """
-    return _ablation(task_kwargs, variants, seeds, sigma_grid, lam)[0]
+    return _ablation(task_kwargs, seeds, sigma_grid, lam)[0]
 
 
-def _ablation(task_kwargs, variants, seeds, sigma_grid, lam, in_modality=False):
+def _ablation(task_kwargs, seeds, sigma_grid, lam, in_modality=False):
     """``run_ablation``'s rows, and ``in_modality_metric`` of each seed's task
     when ``in_modality`` is set (else an empty list), on the task the seed's
     cells were scored on."""
@@ -389,7 +385,7 @@ def _ablation(task_kwargs, variants, seeds, sigma_grid, lam, in_modality=False):
         raise ValueError("need at least one seed")
     if len(sigma_grid) < 1:
         raise ValueError("need at least one sigma in the grid")
-    plan = [(v, sigma_grid if _variant(v)[1] is not None else (0.0,)) for v in variants]
+    plan = [(v, sigma_grid if mode is not None else (0.0,)) for v, (_, mode) in _VARIANTS.items()]
     cells = [(v, sigma) for v, grid in plan for sigma in grid]
     task_kwargs = dict(task_kwargs or {})
     per_seed = []

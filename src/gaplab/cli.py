@@ -1,4 +1,4 @@
-"""Command-line experiment runner with deterministic JSON/CSV reports.
+"""Command-line experiment runner: each command writes <command>.json and one CSV per table.
 
 Every command is one entry of ``_COMMANDS``: its runner, its defaults, the
 keys whose values must be positive, the values each enumerated string key
@@ -72,24 +72,18 @@ def _tolist(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def write_reports(out_dir, command, config, results, checks, tables, fmt="both"):
-    """Emit <command>.json and per-table CSVs under ``out_dir``; return pass flag.
+def write_reports(out_dir, command, config, results, checks, tables):
+    """Emit <command>.json and one CSV per table under ``out_dir``; return pass flag.
     Every text is formatted before ``out_dir`` is made: a rejected report leaves none."""
-    passed = all(checks.values()) if checks else True
-    files = []
-    if fmt in ("json", "both"):
-        doc = {"command": command, "config": config, "results": results,
-               "checks": checks, "passed": passed}
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_tolist)
-        files.append((f"{command}.json", text))
-    if fmt in ("csv", "both"):
-        prefix = [f"# command={command}"]
-        prefix += [f"# {k}={_cell(v)}" for k, v in sorted(config.items())]
-        for name, header, rows in tables:
-            lines = list(prefix)
-            lines.append(",".join(header))
-            lines += [",".join(_cell(v) for v in row) for row in rows]
-            files.append((f"{command}.{name}.csv", "\n".join(lines)))
+    passed = all(checks.values())
+    doc = {"command": command, "config": config, "results": results,
+           "checks": checks, "passed": passed}
+    files = [(f"{command}.json",
+              json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_tolist))]
+    prefix = [f"# command={command}"] + [f"# {k}={_cell(v)}" for k, v in sorted(config.items())]
+    for name, header, rows in tables:
+        lines = [*prefix, ",".join(header), *(",".join(_cell(v) for v in row) for row in rows)]
+        files.append((f"{command}.{name}.csv", "\n".join(lines)))
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files:
         embio._atomic_write(os.path.join(out_dir, name), (text + "\n").encode("utf-8"))
@@ -320,8 +314,8 @@ def _task_kwargs(p):
 def _cmd_c3_bench(p):
     task_kwargs = _task_kwargs(p)
     seeds = tuple(p["seed"] + s for s in range(p["seeds"]))
-    rows, in_modality = bench._ablation(task_kwargs, bench.VARIANTS, seeds,
-                                        tuple(p["sigma_grid"]), p["lam"], in_modality=True)
+    rows, in_modality = bench._ablation(task_kwargs, seeds, tuple(p["sigma_grid"]), p["lam"],
+                                        in_modality=True)
     by = {r.variant: r for r in rows}
     sanity = float(np.mean(in_modality))
     header = [f.name for f in dataclasses.fields(bench.AblationRow)]
@@ -477,11 +471,11 @@ def resolve_config(command: str, config_path: str | None, seed: int | None,
     return params
 
 
-def run_command(command: str, params: dict, out_dir: str, fmt: str = "both") -> bool:
+def run_command(command: str, params: dict, out_dir: str) -> bool:
     """Check ``params``, execute one command and write its reports; returns the pass flag."""
     _check_config(command, params)
     results, checks, tables = _COMMANDS[command].run(params)
-    return write_reports(out_dir, command, params, results, checks, tables, fmt)
+    return write_reports(out_dir, command, params, results, checks, tables)
 
 
 def main(argv=None) -> int:
@@ -493,7 +487,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON file overriding the command's defaults")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="gaplab-reports", help="report output directory")
-    parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
     parser.add_argument("--long-running", action="store_true",
                         help="train-sim only: set long_running, the full-scale "
                              "contrastive training reproduction (hours)")
@@ -502,7 +495,7 @@ def main(argv=None) -> int:
     try:
         params = resolve_config(args.command, args.config, args.seed, args.long_running)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ok = run_command(args.command, params, args.out, args.format)
+            ok = run_command(args.command, params, args.out)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"gaplab {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ MAGIC = b"MMEB"
 VERSION = 1
 DTYPE_FLOAT32 = 1
 _HEADER = struct.Struct("<4sIQQI")
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # float32's max plus half an ulp: rounds to inf
 
 
 class EmbeddingFileError(ValueError):
@@ -84,21 +85,23 @@ def _atomic_write(path: str, data) -> None:
     C-contiguous arrays), written in order; a chunked writer never holds the
     whole file. Shared by every file the package writes (matrices and CLI
     reports). If writing or producing a chunk fails, the temp file is
-    removed and ``path`` is left as it was. The temp file is created with
-    mode 0o666, so the process umask decides the final permissions as it
-    would for a plain ``open``.
+    removed and ``path`` is left as it was; an OSError names ``path``, not
+    the temp file. The temp file is created with mode 0o666, so the process
+    umask decides the final permissions as it would for a plain ``open``.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp-{os.getpid()}-{os.urandom(4).hex()}")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         with os.fdopen(fd, "wb") as fh:
             for chunk in [data] if isinstance(data, bytes) else data:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path asked for, never the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -120,9 +123,16 @@ def _embedding(values: np.ndarray) -> EmbeddingMatrix:
 
 
 def write_mmeb(matrix, path: str) -> None:
-    """Write a matrix as MMEB (float32 payload, atomic)."""
+    """Write a matrix as MMEB (float32 payload, atomic). A value that is not
+    finite, or that float32 rounds to infinity, is rejected before any write."""
     values = as_array(matrix)
     _check_finite(values)
+    for blk in _row_blocks(*values.shape):
+        over = np.argwhere(np.abs(values[blk]) >= _FLOAT32_OVERFLOW)
+        if len(over):
+            r, c = over[0] + (blk.start, 0)
+            raise ValueError(f"value {float(values[r, c])!r} at row {r}, col {c} "
+                             "is beyond the float32 range MMEB stores")
 
     def chunks():
         yield _HEADER.pack(MAGIC, VERSION, values.shape[0], values.shape[1], DTYPE_FLOAT32)

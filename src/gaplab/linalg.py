@@ -233,10 +233,10 @@ class SpectralSummary:
 def spectral_summary(c: np.ndarray, gamma: float = DEFAULT_GAMMA) -> SpectralSummary:
     """Spectrum and effective dimension of a symmetric PSD covariance matrix.
 
-    For a PSD matrix the singular values equal the eigenvalues, so the
-    spectrum is computed with a symmetric eigensolver. Eigenvalues that are
-    negative within numerical tolerance are clipped to zero; a genuinely
-    indefinite or non-symmetric input is rejected.
+    For a PSD matrix the singular values equal the eigenvalues: a symmetric
+    eigensolver reads the lower triangle of a matrix inside the symmetry
+    tolerance. Eigenvalues negative within numerical tolerance are clipped to
+    zero; a genuinely indefinite or non-symmetric input is rejected.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -246,7 +246,7 @@ def spectral_summary(c: np.ndarray, gamma: float = DEFAULT_GAMMA) -> SpectralSum
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.T).max() > 1e-8 * scale:
         raise ValueError("covariance is not symmetric within tolerance")
-    eigs = np.linalg.eigvalsh((c + c.T) / 2.0)
+    eigs = np.linalg.eigvalsh(c)
     if eigs[0] < -1e-8 * scale:
         raise ValueError(f"covariance is not positive semi-definite: min eigenvalue {eigs[0]!r}")
     s = np.clip(eigs[::-1], 0.0, None)

@@ -276,17 +276,15 @@ class TestAblation:
         with pytest.raises(ValueError, match="sigma"):
             run_ablation(sigma_grid=())
 
-    def test_unknown_variant_rejected_before_any_task(self, monkeypatch):
-        def no_task(**kwargs):
-            raise AssertionError("a task was built")
-        monkeypatch.setattr(bench, "make_toy_task", no_task)
-        with pytest.raises(ValueError, match="unknown variant"):
-            run_ablation(variants=("c1", "c4"))
-
-    def test_span_only_needs_a_gap_direction(self):
+    def test_span_only_needs_a_gap_direction(self, monkeypatch):
+        scored = []
+        score = bench._score
+        monkeypatch.setattr(bench, "_score", lambda *a: scored.append(a) or score(*a))
         kwargs = dict(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0)
         with pytest.raises(ValueError, match="gap_direction"):
-            run_ablation(task_kwargs=kwargs, variants=("c1", "c22_span"), seeds=(0,))
+            run_ablation(task_kwargs=kwargs, seeds=(0,))
+        # c1, c21 and c22's four sigmas were scored; c22_span raised at its first
+        assert len(scored) == 2 + len(bench.SIGMA_GRID)
 
     def test_noise_drawn_once_per_seed(self, monkeypatch):
         calls = []
@@ -308,10 +306,10 @@ class TestAblation:
         built = []
         make = bench.make_toy_task
         monkeypatch.setattr(bench, "make_toy_task", lambda **kw: built.append(kw["seed"]) or make(**kw))
-        assert bench._ablation(kwargs, VARIANTS, seeds, bench.SIGMA_GRID, 1e-3,
+        assert bench._ablation(kwargs, seeds, bench.SIGMA_GRID, 1e-3,
                                in_modality=True) == (rows, expected)
         assert built == list(seeds)
-        assert bench._ablation(kwargs, VARIANTS, seeds, bench.SIGMA_GRID, 1e-3) == (rows, [])
+        assert bench._ablation(kwargs, seeds, bench.SIGMA_GRID, 1e-3) == (rows, [])
 
 
 class TestShiftSweep:

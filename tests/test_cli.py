@@ -162,17 +162,24 @@ class TestConfigTypes:
         assert message in err
         assert [str(w.message) for w in seen] == []
 
-    @pytest.mark.parametrize("config,results,rows,fmt", [
-        ({"seed": 0}, {"curve": [float("nan")]}, [], "both"),
-        ({"seed": 0}, {"curve": [1.0]}, [(0, float("inf"))], "both"),  # JSON fine, CSV not
-        ({"seed": float("nan")}, {}, [(0, 1.0)], "csv"),
+    @pytest.mark.parametrize("config,results,rows", [
+        ({"seed": 0}, {"curve": [float("nan")]}, []),
+        ({"seed": 0}, {"curve": [1.0]}, [(0, float("inf"))]),  # JSON fine, CSV not
+        ({"seed": float("nan")}, {}, [(0, 1.0)]),
     ])
-    def test_nan_never_reaches_a_report(self, tmp_path, config, results, rows, fmt):
+    def test_nan_never_reaches_a_report(self, tmp_path, config, results, rows):
         out = tmp_path / "out"
         with pytest.raises(ValueError):
             cli.write_reports(str(out), "shift-sweep", config, results, {},
-                              [("curve", ["shift", "metric"], rows)], fmt)
+                              [("curve", ["shift", "metric"], rows)])
         assert not out.exists()
+
+    def test_format_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            main(["stable-region", "--out", str(tmp_path / "out"), "--format", "json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"train-sim"}))
     def test_long_running_flag_only_for_train_sim(self, capsys, tmp_path, command):
@@ -420,14 +427,6 @@ class TestCommands:
         assert "# instances=30" in text
         assert "# seed=0" in text
 
-    def test_format_selects_outputs(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"instances": 20}))
-        out = tmp_path / "json_only"
-        main(["stable-region", "--config", str(cfg), "--out", str(out), "--format", "json"])
-        names = [p.name for p in out.iterdir()]
-        assert names == ["stable-region.json"]
-
     def test_gap_stats_table_order(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 600, "d": 64, "span_dim": 16}))
@@ -495,12 +494,24 @@ class TestCommands:
     def test_export_into_a_missing_directory_exits_2(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("1.0,2.0\n")
-        dst = tmp_path / "absent" / "out.mmeb"
+        dst = tmp_path / "absent" / "x.csv"
+        err = exits_2_with_one_line(capsys, tmp_path, "export",
+                                    {"in_file": str(src), "in_format": "csv",
+                                     "out_file": str(dst), "out_format": "csv"})
+        # the path asked for, never the temp file beside it
+        assert err.endswith(f"No such file or directory: {str(dst)!r}\n")
+        assert ".tmp-" not in err
+        assert not dst.parent.exists()
+
+    def test_export_of_a_value_beyond_float32_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("1.0,2.0\n3.0,1e300\n")
+        dst = tmp_path / "x.mmeb"
         err = exits_2_with_one_line(capsys, tmp_path, "export",
                                     {"in_file": str(src), "in_format": "csv",
                                      "out_file": str(dst), "out_format": "mmeb"})
-        assert "No such file or directory" in err
-        assert not dst.parent.exists()
+        assert "value 1e+300 at row 1, col 1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "in.csv"]
 
     def test_gap_stats_noise_mean_check_can_fail(self, tmp_path):
         # the noise mean is 0 only up to rounding at the data's scale

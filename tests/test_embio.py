@@ -1,5 +1,6 @@
 """Embedding file format tests: MMEB binary container and CSV."""
 
+import re
 import struct
 
 import numpy as np
@@ -83,6 +84,30 @@ class TestMmeb:
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(NonFiniteValueError):
             write_mmeb(np.array([[np.nan]]), str(tmp_path / "x.mmeb"))
+
+    @pytest.mark.parametrize("big,shown", [
+        (1e300, "1e+300"),
+        (-1e39, "-1e+39"),
+        (2.0**128 - 2.0**103, "3.4028235677973366e+38"),  # the least that rounds to inf
+    ])
+    def test_write_rejects_a_value_beyond_float32_before_writing(self, tmp_path, big, shown):
+        path = tmp_path / "x.mmeb"
+        m = np.ones((3, 2))
+        m[2, 1] = big
+        with pytest.raises(ValueError, match=re.escape(f"value {shown} at row 2, col 1")):
+            write_mmeb(m, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_extremes_survive_mmeb_csv_mmeb(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((50, 6)).astype(np.float32).astype(np.float64)
+        m[0] = [f32.max, -f32.max, f32.smallest_subnormal, f32.tiny, -0.0, 0.0]
+        first, back = tmp_path / "a.mmeb", tmp_path / "b.mmeb"
+        write_mmeb(m, str(first))
+        write_csv(read_mmeb(str(first)), str(tmp_path / "m.csv"))
+        write_mmeb(read_csv(str(tmp_path / "m.csv")), str(back))
+        assert back.read_bytes() == first.read_bytes()
 
 
 class TestCsv:
@@ -179,6 +204,14 @@ class TestDispatch:
             path = str(tmp_path / f"m.{fmt}")
             export(m, path, fmt)
             np.testing.assert_array_equal(ingest(path, fmt).values, m)
+
+    @pytest.mark.parametrize("fmt", ["mmeb", "csv"])
+    def test_write_error_names_the_path_asked_for(self, tmp_path, fmt):
+        path = str(tmp_path / "absent" / f"x.{fmt}")
+        with pytest.raises(FileNotFoundError) as err:
+            export(np.ones((2, 2)), path, fmt)
+        assert err.value.filename == path
+        assert ".tmp-" not in str(err.value)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):

@@ -272,6 +272,14 @@ class TestSpectralSummary:
             for gamma in (0.99, 1.0 - 1e-9):
                 assert spectral_summary(c, gamma).effective_dim == k
 
+    @pytest.mark.parametrize("shape", [(1000, 512), (100, 512), (2, 3), (37, 129), (1000, 1)])
+    def test_covariance_spectrum_is_its_eigvalsh(self, shape):
+        c = covariance(np.random.default_rng(3).standard_normal(shape) * 3.0 + 1.0)
+        got = spectral_summary(c).singular_values
+        assert np.array_equal(got, np.clip(np.linalg.eigvalsh(c)[::-1], 0.0, None))
+        # the averaged copy it once decomposed has the same bits
+        assert np.array_equal((c + c.T) / 2.0, c)
+
     def test_rejects_non_symmetric(self):
         c = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
