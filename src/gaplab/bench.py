@@ -26,14 +26,9 @@ unequal norms along partially shared rays so that shrinking predictions
 (the signature of an unhandled modality gap after normalization) degrades
 accuracy smoothly rather than not at all.
 
-The squared distances to the codes are summed over the m code coordinates
-in numpy's pairwise order, the order of ``.sum(axis=-1)`` over rows of m
-terms, but as m whole codes x predictions arrays, so every inner loop runs
-over the predictions: below 8 terms left to right; up to 128, eight partial
-sums seeded by the first eight terms and combined as
-((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), then the leftover terms in order;
-above 128, two halves split at a multiple of 8. A near-tie between two
-codes is decided by those bits, so the order is pinned by a test.
+The squared distance to each code sums its m coordinate terms left to
+right, as whole codes x predictions arrays; a near-tie between two codes is
+decided by those bits, so the order is pinned by a test.
 """
 
 from __future__ import annotations
@@ -237,46 +232,15 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     return RidgeDecoder(weights=w, bias=t_mean - x_mean @ w)
 
 
-def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
-    """``term(lo) + ... + term(lo + n - 1)`` in numpy's pairwise order, the
-    one the module docstring states (``pairwise_sum`` in numpy's
-    ``loops_utils.h.src``). ``term`` returns a fresh array."""
-    if n < 8:
-        total = term(lo)
-        for j in range(lo + 1, lo + n):
-            total += term(j)
-        return total
-    if n <= 128:
-        r = [term(lo + j) for j in range(8)]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += term(lo + i + j)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
-        for dst, src in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            r[dst] += r[src]
-        total = r[0]
-        for j in range(lo + tail, lo + n):
-            total += term(j)
-        return total
-    half = n // 2
-    half -= half % 8
-    total = _pairwise_sum(term, lo, half)
-    total += _pairwise_sum(term, lo + half, n - half)
-    return total
-
-
 def _code_distances(pred: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Squared distance of every prediction to every code, codes x predictions:
-    the transpose of ``((pred[:, None, :] - codes[None]) ** 2).sum(axis=-1)``
-    bit for bit, its m terms added in the same order as whole arrays."""
+    """Squared distance of every prediction to every code, codes x predictions,
+    its m terms added left to right as whole arrays."""
     pt = np.ascontiguousarray(pred.T)
-
-    def term(j):
+    d2 = np.square(pt[0] - codes[:, 0, None])
+    for j in range(1, pt.shape[0]):
         t = pt[j] - codes[:, j, None]
-        return np.square(t, out=t)
-
-    return _pairwise_sum(term, 0, pt.shape[0])
+        d2 += np.square(t, out=t)
+    return d2
 
 
 def _metric(task: ToyTask, pred: np.ndarray) -> float:

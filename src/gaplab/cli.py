@@ -138,8 +138,18 @@ def _max_rel_error(approx: np.ndarray, exact: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_simulate_init(p):
+def _init_world(p) -> worlds.InitWorld:
+    """simulate-init's and train-sim's collapsed init world, which must keep a
+    shared constant dimension for their masked gap."""
     w = worlds.make_collapsed_init_world(p["n"], p["d"], p["dex"], p["dey"], p["seed"])
+    if w.shared_ineffective.size == 0:
+        raise ValueError(f"dex + dey must be < d to leave a shared constant dimension, "
+                         f"got dex={p['dex']}, dey={p['dey']}, d={p['d']}")
+    return w
+
+
+def _cmd_simulate_init(p):
+    w = _init_world(p)
     full = masked_gap_distance(w.pairs, np.arange(p["d"]))
     masked = masked_gap_distance(w.pairs, w.shared_ineffective)
     sx = spectral_summary(covariance(w.pre_norm_x), RANK_GAMMA)
@@ -166,7 +176,7 @@ def _cmd_simulate_init(p):
 
 
 def _cmd_train_sim(p):
-    w = worlds.make_collapsed_init_world(p["n"], p["d"], p["dex"], p["dey"], p["seed"])
+    w = _init_world(p)
     init = w.pairs if p["init"] == "unit" else PairedEmbeddings(
         x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
     res = train_contrastive(init, p["tau"], _from_params(TrainerConfig, p),
@@ -276,6 +286,8 @@ def _cmd_mlp_collapse(p):
 
 
 def _cmd_gap_stats(p):
+    if bool(p["x_file"]) != bool(p["y_file"]):
+        raise ValueError("gap-stats needs both x_file and y_file, or neither")
     synthetic = not p["x_file"]
     if synthetic:
         w = worlds.make_gap_world(p["n"], p["d"], p["span_dim"], p["gap_norm"],
@@ -352,6 +364,9 @@ def _cmd_shift_sweep(p):
 
 
 def _cmd_export(p):
+    for key in ("in_file", "out_file"):
+        if not p[key]:
+            raise ValueError(f"config key {key} for export must name a file")
     matrix = embio.ingest(p["in_file"], p["in_format"])
     embio.export(matrix, p["out_file"], p["out_format"])
     results = {"rows": matrix.n, "cols": matrix.d,

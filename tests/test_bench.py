@@ -171,22 +171,26 @@ class TestRidgeDecoder:
 
 
 class TestScorer:
-    """The nearest-code scorer keeps the bits of the broadcast reduction.
-
-    ``bench._code_distances`` adds its m terms in numpy's pairwise summation
-    order; if numpy changes that order, these tests are what fails.
-    """
+    """The nearest-code scorer adds each code's m squared-difference terms
+    left to right, the bits of a plain float sum, at every summation length."""
 
     @pytest.mark.parametrize("m", [1, 4, 7, 8, 9, 10, 16, 17, 127, 128, 129, 300])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_distances_equal_the_broadcast_sum(self, m, scale):
+    def test_distances_equal_a_left_to_right_sum(self, m, scale):
         rng = np.random.default_rng(m)
         pred = scale * rng.standard_normal((203, m))
         codes = rng.standard_normal((11, m))
-        want = ((pred[:, None, :] - codes[None]) ** 2).sum(axis=-1)
+        want = np.empty((11, 203))
+        for k, c in enumerate(codes.tolist()):
+            for i, p in enumerate(pred.tolist()):
+                s = (p[0] - c[0]) * (p[0] - c[0])
+                for j in range(1, m):
+                    t = p[j] - c[j]
+                    s += t * t
+                want[k, i] = s
         got = bench._code_distances(pred, codes)
         assert got.shape == (11, 203)
-        assert np.array_equal(got, want.T)
+        assert np.array_equal(got, want)
 
     def test_accuracy_equals_the_broadcast_argmin(self):
         for seed in range(20):
@@ -199,11 +203,12 @@ class TestScorer:
             want = float((d2.argmin(axis=1) == task.labels[task.test_idx]).mean())
             assert bench._metric(task, pred) == want
 
-    def test_tie_goes_to_the_first_code(self):
+    @pytest.mark.parametrize("m", [4, 10, 40, 150])
+    def test_tie_goes_to_the_first_code(self, m):
         rng = np.random.default_rng(3)
-        codes = rng.standard_normal((6, 10))
+        codes = rng.standard_normal((6, m))
         codes[4] = codes[1]
-        pred = codes[1] + 0.01 * rng.standard_normal((50, 10))
+        pred = codes[1] + 0.01 * rng.standard_normal((50, m))
         d2 = bench._code_distances(pred, codes)
         assert np.array_equal(d2[1], d2[4])
         assert list(d2.argmin(axis=0)) == [1] * 50

@@ -121,10 +121,36 @@ class TestConfigTypes:
         err = exits_2_with_one_line(capsys, tmp_path, "c3-bench", {"seed": -1})
         assert err == "gaplab c3-bench: error: config key seed for c3-bench must be >= 0, got -1\n"
 
-    def test_no_shared_dimension_to_mask_exits_2(self, capsys, tmp_path):
-        # dex + dey = d leaves no shared constant dimension to mask
-        err = exits_2_with_one_line(capsys, tmp_path, "train-sim", {"dex": 25, "dey": 487})
-        assert "masked_dims must be a non-empty 1-d array" in err
+    @pytest.mark.parametrize("command", ["simulate-init", "train-sim"])
+    @pytest.mark.parametrize("dey,message", [
+        (256, "dex + dey must be < d to leave a shared constant dimension, "
+              "got dex=256, dey=256, d=512"),
+        (257, "need dex >= 1, dey >= 1, dex + dey <= d, got 256, 257, 512"),  # the world's
+    ])
+    def test_no_shared_dimension_to_mask_exits_2(self, capsys, tmp_path, command, dey, message):
+        err = exits_2_with_one_line(capsys, tmp_path, command, {"dex": 256, "dey": dey})
+        assert err == f"gaplab {command}: error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["x_file", "y_file"])
+    def test_gap_stats_with_one_file_key_exits_2(self, capsys, tmp_path, monkeypatch, key):
+        src = tmp_path / "e.mmeb"
+        write_mmeb(np.eye(4), str(src))
+        monkeypatch.setattr(worlds, "make_gap_world", None)  # no synthetic world is built
+        err = exits_2_with_one_line(capsys, tmp_path, "gap-stats", {key: str(src)})
+        assert err == "gaplab gap-stats: error: gap-stats needs both x_file and y_file, or neither\n"
+
+    @pytest.mark.parametrize("key", ["in_file", "out_file"])
+    def test_export_with_an_empty_path_exits_2(self, capsys, tmp_path, monkeypatch, key):
+        work = tmp_path / "work"
+        work.mkdir()
+        src = tmp_path / "in.mmeb"
+        write_mmeb(np.eye(4), str(src))
+        config = {"in_file": str(src), "out_file": str(tmp_path / "out.csv"), key: ""}
+        monkeypatch.chdir(work)
+        err = exits_2_with_one_line(capsys, tmp_path, "export", config)
+        assert err == f"gaplab export: error: config key {key} for export must name a file\n"
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "in.mmeb", "work"]
 
     def test_mmeb_header_promising_2_40_rows_exits_2(self, capsys, tmp_path):
         # the payload size is checked before anything is allocated

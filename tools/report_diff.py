@@ -12,6 +12,8 @@ that this script writes to CSV, and ``gap-stats`` analyzes a pair of such
 files. The configs name those files by paths relative to the run directory,
 so both trees echo the same config. ``gap-stats-span`` runs gap-stats on a
 world with span-mode noise, which its defaults (full-mode) do not reach.
+``c3-bench-40-classes`` scores 40-dimensional codes (two seeds), so the
+nearest-code sums run over 40 terms where the defaults' run over 10.
 Three train-sim runs of 300 steps reach the trainer paths its defaults (span
 form, free rows) do not: the long-running form, which trains in reduced
 coordinates; the exact form on free rows; and the span form on projected
@@ -195,6 +197,7 @@ def main(argv=None) -> int:
              ("gap-stats-files", "gap-stats",
               {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")}),
              ("gap-stats-span", "gap-stats", {"noise_mode": "span"}),
+             ("c3-bench-40-classes", "c3-bench", {"classes": 40, "span_dim": 48, "seeds": 2}),
              ("train-sim-long-running", "train-sim", {"long_running": True, "steps": 300}),
              ("train-sim-exact-free", "train-sim", {"gradient_form": "exact", "steps": 300}),
              ("train-sim-span-projected", "train-sim",
