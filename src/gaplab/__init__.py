@@ -65,7 +65,6 @@ from .bench import (
     AblationRow,
     make_toy_task,
     train_decoder,
-    evaluate_crossmodal,
     in_modality_metric,
     run_ablation,
     gap_shift_sweep,

@@ -51,13 +51,10 @@ __all__ = [
     "SIGMA_GRID",
     "make_toy_task",
     "train_decoder",
-    "evaluate_crossmodal",
     "in_modality_metric",
     "run_ablation",
     "gap_shift_sweep",
 ]
-
-_SHIFT_MODES = ("orthogonal", "in_span")  # gap_shift_sweep's shift directions
 
 # variant -> (collapse both sides, corruption mode of the train side or None)
 _VARIANTS = {
@@ -288,22 +285,6 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
     return scores
 
 
-def evaluate_crossmodal(
-    task: ToyTask,
-    variant: str = "c3",
-    train_sigma: float = 0.05,
-    lam: float = 1e-3,
-    noise_seed: int = 0,
-) -> float:
-    """Train on transformed y rows, evaluate on x rows through the variant's
-    test transform; return the nearest-code accuracy. Variants without a
-    corruption stage ignore ``train_sigma``.
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _seed_scores(task, [(variant, train_sigma)], lam, noise_seed)[0]
-
-
 def in_modality_metric(task: ToyTask, lam: float = 1e-3) -> float:
     """Train on x-side train rows, test on x-side test rows (no transfer)."""
     x = task.pairs.x.values
@@ -336,7 +317,8 @@ def run_ablation(
 
     Seeds form the outer loop, so one task is alive at a time, and each
     seed's cells are scored by one ``_seed_scores`` call with noise seed
-    ``1000 + seed``, the path ``evaluate_crossmodal`` takes for one cell.
+    ``1000 + seed``. A negative or non-finite sigma, or a task with no gap
+    direction for c22_span (``span_dim == d``), fails before any cell is scored.
     """
     return _ablation(task_kwargs, seeds, sigma_grid, lam)[0]
 
@@ -349,6 +331,8 @@ def _ablation(task_kwargs, seeds, sigma_grid, lam, in_modality=False):
         raise ValueError("need at least one seed")
     if len(sigma_grid) < 1:
         raise ValueError("need at least one sigma in the grid")
+    for sigma in sigma_grid:
+        _check_nonnegative_finite("sigma_grid entry", sigma)
     plan = [(v, sigma_grid if mode is not None else (0.0,)) for v, (_, mode) in _VARIANTS.items()]
     cells = [(v, sigma) for v, grid in plan for sigma in grid]
     task_kwargs = dict(task_kwargs or {})
@@ -356,6 +340,10 @@ def _ablation(task_kwargs, seeds, sigma_grid, lam, in_modality=False):
     sanity = []
     for s in seeds:
         task = make_toy_task(seed=s, **task_kwargs)
+        if task.gap_direction is None:
+            d, span_dim = task.span_basis.shape
+            raise ValueError(f"c22_span needs a gap direction: span_dim must be < d, "
+                             f"got span_dim={span_dim}, d={d}")
         per_seed.append(_seed_scores(task, cells, lam, 1000 + s))
         if in_modality:
             sanity.append(in_modality_metric(task, lam))
@@ -374,36 +362,24 @@ def _ablation(task_kwargs, seeds, sigma_grid, lam, in_modality=False):
     return rows, sanity
 
 
-def gap_shift_sweep(
-    task: ToyTask,
-    shift_norms,
-    lam: float = 1e-3,
-    shift_mode: str = "orthogonal",
-) -> list[tuple[float, float]]:
+def gap_shift_sweep(task: ToyTask, shift_norms, lam: float = 1e-3) -> list[tuple[float, float]]:
     """Metric of a no-collapse decoder under growing constant test shifts.
 
     The decoder is trained on raw y rows; each sweep point adds a shift of
-    the given norm to every test-side x row before decoding. The shift
-    direction is fixed: orthogonal to the embedding span by default (the
-    task's reserved gap direction), or the first span axis with
-    ``shift_mode="in_span"``.
+    the given norm to every test-side x row before decoding. The shift runs
+    along the task's reserved gap direction, orthogonal to the embedding
+    span.
     """
     norms = [float(c) for c in shift_norms]
     for c in norms:
         _check_nonnegative_finite("shift norm", c)
     if sorted(norms) != norms:
         raise ValueError("shift norms must be sorted")
-    if shift_mode not in _SHIFT_MODES:
-        raise ValueError(f"unknown shift_mode {shift_mode!r}")
-    if shift_mode == "in_span":
-        direction = task.span_basis[:, 0]
-    elif task.gap_direction is None:
+    if task.gap_direction is None:
         raise ValueError("span fills the whole space; no orthogonal shift direction exists")
-    else:
-        direction = task.gap_direction
 
     y_train = task.pairs.y.values[task.train_idx]
     decoder = train_decoder(l2_normalize_rows(y_train).values, task.targets[task.train_idx], lam)
     x_test = task.pairs.x.values[task.test_idx]
-    return [(c, _metric(task, decoder.predict(l2_normalize_rows(x_test + c * direction).values)))
-            for c in norms]
+    return [(c, _metric(task, decoder.predict(
+        l2_normalize_rows(x_test + c * task.gap_direction).values))) for c in norms]

@@ -9,13 +9,13 @@ file (unknown keys rejected), overridden by the ``--seed`` flag;
 ``--long-running`` sets the ``long_running`` key, which only train-sim has.
 Each value must have its default's type (an int default takes only an int, a
 float default a finite int or float, a list default a non-empty list of
-finite numbers), a positive key (``tau``, ``h``, every ``taus`` entry,
-``seeds``, ``span_dim`` and the counts ``batches``, ``instances``,
-``depth``, ``pairs_per_group`` and stable-region's ``n`` and ``d``) must be > 0,
-``seed`` must be >= 0, and an enumerated string key (``init``,
-``gradient_form``, ``noise_mode``, ``shift_mode`` and the file formats) must
-name one of its choices, or the command exits with status 2 before any work
-starts. The resolved config is echoed into every report, reports carry no
+finite numbers), a positive key (``tau``, ``learning_rate``, ``h``, every
+``taus`` entry, ``seeds``, ``span_dim`` and the counts ``batches``,
+``instances``, ``depth``, ``pairs_per_group`` and stable-region's ``n`` and
+``d``) must be > 0, ``seed`` must be >= 0, and an enumerated string key
+(``gradient_form``, ``noise_mode`` and the file formats) must name one of its
+choices, or the command exits with status 2 before any work starts. The
+resolved config is echoed into every report, reports carry no
 timestamps, and float formatting is fixed, so rerunning a command with the
 same config and seed on the same BLAS build, CPU and BLAS thread count
 reproduces the report files byte for byte (exact-form train-sim differs in
@@ -177,7 +177,7 @@ def _cmd_simulate_init(p):
 
 def _cmd_train_sim(p):
     w = _init_world(p)
-    init = w.pairs if p["init"] == "unit" else PairedEmbeddings(
+    init = w.pairs if p["renormalize_each_step"] else PairedEmbeddings(
         x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
     res = train_contrastive(init, p["tau"], _from_params(TrainerConfig, p),
                             masked_dims=w.shared_ineffective)
@@ -346,12 +346,11 @@ def _cmd_c3_bench(p):
 
 def _cmd_shift_sweep(p):
     task_kwargs = _task_kwargs(p)
-    seeds = [p["seed"] + s for s in range(p["seeds"])]
     shifts = [float(c) for c in p["shifts"]]
     curves = []
-    for s in seeds:
-        task = bench.make_toy_task(seed=s, **task_kwargs)
-        curves.append(dict(bench.gap_shift_sweep(task, shifts, p["lam"], p["shift_mode"])))
+    for s in range(p["seeds"]):
+        task = bench.make_toy_task(seed=p["seed"] + s, **task_kwargs)
+        curves.append(dict(bench.gap_shift_sweep(task, shifts, p["lam"])))
     means = [float(np.mean([c[v] for c in curves])) for v in shifts]
     inversions = sum(1 for a, b in zip(means, means[1:]) if b > a + 0.01)
     results = {"curve": [{"shift": c, "metric": m} for c, m in zip(shifts, means)]}
@@ -390,11 +389,10 @@ _COMMANDS = {
     "train-sim": _Command(_cmd_train_sim, {
         "n": 256, "d": 512, "dex": 25, "dey": 230, "tau": 0.07, "learning_rate": 0.1,
         "steps": 20000, "record_every": 100, "renormalize_each_step": False,
-        "gradient_form": "span", "init": "prenorm", "long_running": False, "seed": 0},
-        positive=("tau",),
-        choices={"gradient_form": _GRADIENT_FORMS, "init": ("unit", "prenorm")},
+        "gradient_form": "span", "long_running": False, "seed": 0},
+        positive=("tau", "learning_rate"), choices={"gradient_form": _GRADIENT_FORMS},
         long_running={"n": 1000, "steps": 200000, "renormalize_each_step": True,
-                      "gradient_form": "exact", "init": "unit"}),
+                      "gradient_form": "exact"}),
     "verify-gradients": _Command(_cmd_verify_gradients, {
         "batches": 100, "max_n": 8, "max_d": 16, "taus": [0.01, 0.07, 0.5], "h": 1e-5,
         "seed": 0}, positive=("batches", "taus", "h")),
@@ -418,8 +416,7 @@ _COMMANDS = {
         "n": 5000, "d": 64, "classes": 10, "span_dim": 16, "gap_norm": 0.0,
         "sigma_align": 0.05, "seeds": 5, "lam": 1e-3,
         "shifts": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
-        "shift_mode": "orthogonal", "seed": 0}, positive=("seeds", "span_dim"),
-        choices={"shift_mode": bench._SHIFT_MODES}),
+        "seed": 0}, positive=("seeds", "span_dim")),
     "export": _Command(_cmd_export, {
         "in_file": "", "in_format": "mmeb", "out_file": "", "out_format": "csv", "seed": 0},
         choices={"in_format": _FORMATS, "out_format": _FORMATS}),

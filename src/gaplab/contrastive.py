@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_nonnegative_finite,
-                     _check_positive_finite, _checked_mask, _first_nonfinite,
-                     _unit_rows_into, l2_normalize_rows)
+from .linalg import (EmbeddingMatrix, PairedEmbeddings, _check_positive_finite, _checked_mask,
+                     _first_nonfinite, _unit_rows_into, l2_normalize_rows)
 
 __all__ = [
     "ContrastiveBatch",
@@ -62,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_TAU = 0.07
+_MAX_DELTA = math.log(np.finfo(np.float64).max)  # about 709.78; exp(delta) - 1 overflows above
 _GRADIENT_FORMS = ("exact", "span")
 
 
@@ -232,7 +232,7 @@ class TrainerConfig:
     ``gradient_form`` selects the update direction: "exact" (the true loss
     gradient, the default) or "span" (the compact form, which leaves
     coordinates shared by all rows of the opposite modality bitwise
-    untouched).
+    untouched). ``learning_rate`` must be positive and finite.
     """
 
     learning_rate: float = 0.1
@@ -242,7 +242,7 @@ class TrainerConfig:
     gradient_form: str = "exact"
 
     def __post_init__(self):
-        _check_nonnegative_finite("learning rate", self.learning_rate)
+        _check_positive_finite("learning rate", self.learning_rate)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.record_every < 1:
@@ -326,18 +326,17 @@ def train_contrastive(
     warnings are silenced during the run: a non-finite loss or state is
     detected here and raised as FloatingPointError.
 
-    Exact-form projected descent with a nonzero learning rate never leaves
-    the span of the initial rows: each side's gradient combines the other
-    side's rows, and the projection only rescales rows. So when the columns
-    of ``masked_dims`` hold rows of lower rank than their count
-    (``_block_basis``), the run takes place in reduced coordinates, the
-    unmasked columns as they are plus coordinates in an orthonormal basis q
-    of the block's row space, and is mapped back to d columns once, at the
-    end. On the collapsed-init world at the long-running shape (n=1000,
-    d=512) that is 257 columns. The records and the final state then differ
-    from the d-column run by rounding only. Every other run (span form, free
-    rows, no mask, a zero learning rate or a full-rank block) keeps the
-    d-column path and its bits.
+    Exact-form projected descent never leaves the span of the initial rows:
+    each side's gradient combines the other side's rows, and the projection
+    only rescales rows. So when the columns of ``masked_dims`` hold rows of
+    lower rank than their count (``_block_basis``), the run takes place in
+    reduced coordinates, the unmasked columns as they are plus coordinates
+    in an orthonormal basis q of the block's row space, and is mapped back
+    to d columns once, at the end. On the collapsed-init world at the
+    long-running shape (n=1000, d=512) that is 257 columns. The records and
+    the final state then differ from the d-column run by rounding only.
+    Every other run (span form, free rows, no mask or a full-rank block)
+    keeps the d-column path and its bits.
 
     Raises
     ------
@@ -356,7 +355,7 @@ def train_contrastive(
     span = cfg.gradient_form == "span"
     x, y = init.x.values, init.y.values
     q = None
-    if mask is not None and not span and unit and cfg.learning_rate != 0.0:
+    if mask is not None and not span and unit:
         block = np.unique(mask)
         q = _block_basis(x, y, block)
     if q is None:
@@ -411,8 +410,6 @@ def train_contrastive(
                 running_masked_max = 0.0
             if step == cfg.steps:
                 break
-            if cfg.learning_rate == 0.0:
-                continue  # a zero update followed by projection must be a bitwise no-op
             for a, g in ((x, grad_x), (y, grad_y)):
                 g *= cfg.learning_rate
                 a -= g
@@ -439,7 +436,9 @@ def _crowding(shifted: np.ndarray, tau: float) -> tuple[float, int]:
 
 
 def _threshold(tau: float, o: int, delta: float) -> float:
-    """tau * log(o / (exp(delta) - 1)) for an integer crowding factor o."""
+    """tau * log(o / (exp(delta) - 1)) for an integer crowding factor o and delta <= _MAX_DELTA."""
+    if delta > _MAX_DELTA:
+        raise ValueError(f"delta must be <= log(DBL_MAX) = {_MAX_DELTA}, got {delta}")
     return float(tau * math.log(o / math.expm1(delta)))
 
 
@@ -458,7 +457,7 @@ def stable_region_threshold(similarities, tau: float, delta: float) -> float:
     o'(tau) = 1 + sum_{i != m} exp((t_i - t_m) / tau) with m its argmax. A
     non-positive threshold means any margin suffices. The profile must be
     finite and its argmax unique: a NaN, an infinity or a tied maximum is
-    rejected.
+    rejected, and so is a delta outside (0, log(DBL_MAX)].
     """
     _check_positive_finite("temperature", tau)
     _check_positive_finite("delta", delta)

@@ -10,7 +10,6 @@ from gaplab import bench, c3
 from gaplab.bench import (
     VARIANTS,
     AblationRow,
-    evaluate_crossmodal,
     gap_shift_sweep,
     in_modality_metric,
     make_toy_task,
@@ -21,6 +20,11 @@ from gaplab.c3 import C3Config, collapse, corrupt
 from gaplab.linalg import l2_normalize_rows
 
 STANDARD = dict(n=5000, d=64, gap_norm=0.83, sigma_align=0.05, span_dim=16)
+
+
+def score_cell(task, variant, sigma, lam=1e-3, noise_seed=0):
+    """The metric of one (variant, train sigma) cell, through the shared scorer."""
+    return bench._seed_scores(task, [(variant, sigma)], lam, noise_seed)[0]
 
 
 def ref_evaluate(task, variant, sigma, lam, noise_seed):
@@ -217,26 +221,21 @@ class TestScorer:
 class TestEvaluate:
     def test_clean_task_all_variants_equal(self):
         t = make_toy_task(n=2000, d=64, gap_norm=0.0, sigma_align=0.0, seed=0, span_dim=16)
-        vals = [evaluate_crossmodal(t, v, train_sigma=0.01, noise_seed=3)
+        vals = [score_cell(t, v, 0.01, noise_seed=3)
                 for v in ("c1", "c21", "c22", "c22_span", "c3")]
         assert max(vals) - min(vals) <= 0.01
-
-    def test_unknown_variant_rejected(self):
-        t = make_toy_task(n=200, d=32, gap_norm=0.0, sigma_align=0.0, seed=0, span_dim=16)
-        with pytest.raises(ValueError, match="variant"):
-            evaluate_crossmodal(t, "c4")
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_span_only_needs_a_gap_direction(self, sigma):
         t = make_toy_task(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0, seed=0)
         assert t.gap_direction is None
         with pytest.raises(ValueError, match="gap_direction"):
-            evaluate_crossmodal(t, "c22_span", sigma)
+            score_cell(t, "c22_span", sigma)
 
     def test_deterministic(self):
         t = make_toy_task(seed=5, **STANDARD)
-        a = evaluate_crossmodal(t, "c3", 0.05, noise_seed=11)
-        b = evaluate_crossmodal(t, "c3", 0.05, noise_seed=11)
+        a = score_cell(t, "c3", 0.05, noise_seed=11)
+        b = score_cell(t, "c3", 0.05, noise_seed=11)
         assert a == b
 
     def test_no_transfer_beats_in_modality(self):
@@ -244,7 +243,7 @@ class TestEvaluate:
             t = make_toy_task(seed=seed, **STANDARD)
             own = in_modality_metric(t)
             for variant in ("c1", "c21", "c22", "c22_span", "c3"):
-                assert own >= evaluate_crossmodal(t, variant, 0.05, noise_seed=100 + seed)
+                assert own >= score_cell(t, variant, 0.05, noise_seed=100 + seed)
 
 
 class TestAblation:
@@ -263,7 +262,7 @@ class TestAblation:
         tasks = [make_toy_task(seed=s, **kwargs) for s in seeds]
         for variant in VARIANTS:
             for sigma in (0.0,) + grid:
-                assert evaluate_crossmodal(tasks[0], variant, sigma, 1e-3, noise_seed=7) == \
+                assert score_cell(tasks[0], variant, sigma, 1e-3, noise_seed=7) == \
                     ref_evaluate(tasks[0], variant, sigma, 1e-3, noise_seed=7)
         expected = []
         for variant in VARIANTS:
@@ -281,15 +280,21 @@ class TestAblation:
         with pytest.raises(ValueError, match="sigma"):
             run_ablation(sigma_grid=())
 
-    def test_span_only_needs_a_gap_direction(self, monkeypatch):
+    @pytest.mark.parametrize("kwargs,grid,message", [
+        (dict(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0), bench.SIGMA_GRID,
+         "c22_span needs a gap direction: span_dim must be < d, got span_dim=16, d=16"),
+        (dict(n=200, d=32, span_dim=16), (0.05, -0.1),
+         "sigma_grid entry must be finite and >= 0, got -0.1"),
+        (dict(n=200, d=32, span_dim=16), (math.nan,),
+         "sigma_grid entry must be finite and >= 0, got nan"),
+    ])
+    def test_fails_before_any_cell_is_scored(self, monkeypatch, kwargs, grid, message):
         scored = []
-        score = bench._score
-        monkeypatch.setattr(bench, "_score", lambda *a: scored.append(a) or score(*a))
-        kwargs = dict(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0)
-        with pytest.raises(ValueError, match="gap_direction"):
-            run_ablation(task_kwargs=kwargs, seeds=(0,))
-        # c1, c21 and c22's four sigmas were scored; c22_span raised at its first
-        assert len(scored) == 2 + len(bench.SIGMA_GRID)
+        monkeypatch.setattr(bench, "_seed_scores", lambda *a: scored.append(a))
+        with pytest.raises(ValueError) as exc:
+            run_ablation(task_kwargs=kwargs, seeds=(0,), sigma_grid=grid)
+        assert str(exc.value) == message
+        assert scored == []
 
     def test_noise_drawn_once_per_seed(self, monkeypatch):
         calls = []
@@ -321,7 +326,7 @@ class TestShiftSweep:
     def test_zero_shift_matches_plain_evaluation(self):
         t = make_toy_task(n=2000, d=64, gap_norm=0.0, sigma_align=0.05, seed=7, span_dim=16)
         curve = gap_shift_sweep(t, [0.0])
-        direct = evaluate_crossmodal(t, "c1", 0.0)
+        direct = score_cell(t, "c1", 0.0)
         assert abs(curve[0][1] - direct) <= 1e-10
 
     def test_monotone_degradation(self):
@@ -352,8 +357,3 @@ class TestShiftSweep:
         t = make_toy_task(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0, seed=0)
         with pytest.raises(ValueError, match="orthogonal"):
             gap_shift_sweep(t, [0.0, 1.0])
-
-    def test_in_span_mode_runs(self):
-        t = make_toy_task(n=1000, d=32, gap_norm=0.0, sigma_align=0.05, seed=9, span_dim=16)
-        curve = gap_shift_sweep(t, [0.0, 1.0], shift_mode="in_span")
-        assert len(curve) == 2

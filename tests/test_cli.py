@@ -102,15 +102,46 @@ class TestConfigTypes:
         ("c3-bench", {"span_dim": -1}),
         ("shift-sweep", {"span_dim": -1}),
         ("gap-stats", {"file_format": "bogus"}),
-        ("train-sim", {"init": "bogus"}),
         ("train-sim", {"gradient_form": "bogus"}),
         ("gap-stats", {"noise_mode": "bogus"}),
-        ("shift-sweep", {"shift_mode": "bogus"}),
         ("export", {"in_format": "bogus"}),
         ("export", {"out_format": "bogus"}),
     ])
     def test_malformed_config_exits_2(self, capsys, tmp_path, command, config):
         exits_2_with_one_line(capsys, tmp_path, command, config)
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train-sim", "init", "unit"),
+        ("shift-sweep", "shift_mode", "in_span"),
+    ])
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, command, key, value):
+        err = exits_2_with_one_line(capsys, tmp_path, command, {key: value})
+        assert err == f"gaplab {command}: error: unknown config keys for {command}: {key}\n"
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.1])
+    def test_learning_rate_must_be_positive(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setattr(worlds, "make_collapsed_init_world", None)  # no world is built
+        err = exits_2_with_one_line(capsys, tmp_path, "train-sim", {"learning_rate": value})
+        assert err == (f"gaplab train-sim: error: config key learning_rate for train-sim "
+                       f"must be > 0, got {value!r}\n")
+
+    @pytest.mark.parametrize("config,message", [
+        ({"d": 16, "span_dim": 16, "gap_norm": 0.0, "seeds": 1, "n": 400},
+         "c22_span needs a gap direction: span_dim must be < d, got span_dim=16, d=16"),
+        ({"sigma_grid": [0.05, -0.1], "seeds": 1, "n": 400},
+         "sigma_grid entry must be finite and >= 0, got -0.1"),
+    ])
+    def test_ablation_refuses_before_scoring(self, capsys, tmp_path, monkeypatch, config,
+                                             message):
+        monkeypatch.setattr(bench, "_seed_scores", None)  # no cell is scored
+        err = exits_2_with_one_line(capsys, tmp_path, "c3-bench", config)
+        assert err == f"gaplab c3-bench: error: {message}\n"
+
+    @pytest.mark.parametrize("delta", [1000.0, 1e308])
+    def test_delta_above_log_dbl_max_exits_2(self, capsys, tmp_path, delta):
+        err = exits_2_with_one_line(capsys, tmp_path, "stable-region", {"delta": delta})
+        assert err == ("gaplab stable-region: error: delta must be <= log(DBL_MAX) = "
+                       f"709.782712893384, got {delta}\n")
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_negative_seed_flag_exits_2(self, capsys, tmp_path, command):
@@ -170,7 +201,6 @@ class TestConfigTypes:
         assert [str(w.message) for w in seen] == []
 
     @pytest.mark.parametrize("command,config,message", [
-        ("stable-region", {"delta": 1000.0}, "math range error"),  # OverflowError in expm1
         # 10**15 rows outgrow the 64-bit address space: the allocation fails at once
         ("simulate-init", {"n": 10**15}, "Unable to allocate"),
         ("stable-region", {"d": 1}, "similarity profile has a tied maximum"),
@@ -224,7 +254,6 @@ class TestConfigTypes:
     def test_choice_lists_come_from_the_layers_that_check_them(self):
         assert cli._COMMANDS["train-sim"].choices["gradient_form"] is contrastive._GRADIENT_FORMS
         assert cli._COMMANDS["gap-stats"].choices["noise_mode"] is worlds._NOISE_MODES
-        assert cli._COMMANDS["shift-sweep"].choices["shift_mode"] is bench._SHIFT_MODES
 
     def test_taus_out_of_order_exit_2_before_any_batch(self, capsys, tmp_path, monkeypatch):
         # the monotonicity check compares consecutive taus as ascending ones
@@ -390,22 +419,23 @@ class TestCommands:
         assert got == expected
 
     @pytest.mark.parametrize("config,flags,want", [
-        ({}, ["--long-running"], {"n": 1000, "steps": 200000, "init": "unit"}),
-        ({"steps": 50}, ["--long-running"], {"n": 1000, "steps": 50, "init": "unit"}),
-        ({"long_running": True, "init": "prenorm", "steps": 50}, [],
-         {"n": 1000, "steps": 50, "init": "prenorm"}),
+        ({}, ["--long-running"], {"n": 1000, "steps": 200000, "renormalize_each_step": True}),
+        ({"steps": 50}, ["--long-running"],
+         {"n": 1000, "steps": 50, "renormalize_each_step": True}),
+        ({"long_running": True, "renormalize_each_step": False, "steps": 50}, [],
+         {"n": 1000, "steps": 50, "renormalize_each_step": False}),
     ])
     def test_long_running_echoes_the_config_it_ran(self, tmp_path, monkeypatch, config, flags,
                                                    want):
-        seen = {}
+        seen, unit_rows = {}, []
 
         def fake_train(init, tau, cfg, masked_dims):
-            norms = np.linalg.norm(init.x.values, axis=1)
+            unit_rows.extend(np.allclose(np.linalg.norm(side.values, axis=1), 1.0)
+                             for side in (init.x, init.y))
             seen.update(n=init.n, d=init.d, tau=tau, learning_rate=cfg.learning_rate,
                         steps=cfg.steps, record_every=cfg.record_every,
                         renormalize_each_step=cfg.renormalize_each_step,
-                        gradient_form=cfg.gradient_form,
-                        init="unit" if np.allclose(norms, 1.0) else "prenorm")
+                        gradient_form=cfg.gradient_form)
             traj = [contrastive.TrainingRecord(s, loss, 1.2, 0.82, 0.0)
                     for s, loss in ((0, 1.0), (cfg.steps, 0.5))]
             return contrastive.TrainingResult(traj, init)
@@ -419,7 +449,9 @@ class TestCommands:
         assert echoed["long_running"] is True
         assert {k: echoed[k] for k in seen} == seen
         assert {k: seen[k] for k in want} == want
-        assert seen["renormalize_each_step"] is True and seen["gradient_form"] == "exact"
+        assert seen["gradient_form"] == "exact"
+        # projected descent starts from the world's unit rows, free rows from its pre-norm rows
+        assert unit_rows == [want["renormalize_each_step"]] * 2
         prefix = [line for line in (out / "train-sim.trajectory.csv").read_text().splitlines()
                   if line.startswith("# ")]
         assert prefix[1:] == [f"# {k}={cli._cell(v)}" for k, v in sorted(echoed.items())]

@@ -233,13 +233,6 @@ class TestSpanGradients:
 
 
 class TestTrainer:
-    def test_zero_learning_rate_is_identity(self):
-        w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
-        cfg = TrainerConfig(learning_rate=0.0, steps=5, record_every=1)
-        res = train_contrastive(w.pairs, 0.07, cfg)
-        np.testing.assert_array_equal(res.final.x.values, w.pairs.x.values)
-        np.testing.assert_array_equal(res.final.y.values, w.pairs.y.values)
-
     def test_deterministic(self):
         w = make_collapsed_init_world(n=24, d=32, dex=4, dey=10, seed=1)
         cfg = TrainerConfig(learning_rate=0.1, steps=50, record_every=10)
@@ -361,6 +354,15 @@ class TestStableRegion:
     def test_large_delta_means_any_margin(self):
         thr = stable_region_threshold([0.9, 0.1, -0.2], tau=0.07, delta=5.0)
         assert thr <= 0.0
+
+    def test_delta_up_to_log_dbl_max(self):
+        # exp(delta) - 1 is finite up to log(DBL_MAX) and overflows one ulp above it
+        top = math.log(np.finfo(np.float64).max)
+        assert math.isfinite(stable_region_threshold([0.9, 0.1], 0.07, top))
+        for delta in (np.nextafter(top, math.inf), 1e308):
+            with pytest.raises(ValueError) as exc:
+                stable_region_threshold([0.9, 0.1], 0.07, delta)
+            assert str(exc.value) == f"delta must be <= log(DBL_MAX) = 709.782712893384, got {delta}"
 
     def test_tied_maximum_rejected(self):
         with pytest.raises(ValueError, match="tie"):
@@ -646,8 +648,6 @@ def ref_alloc_train(init, tau, cfg, masked_dims):
             running_masked_max = 0.0
         if step == cfg.steps:
             break
-        if cfg.learning_rate == 0.0:
-            continue
         x = x - cfg.learning_rate * grad_x
         y = y - cfg.learning_rate * grad_y
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -674,7 +674,6 @@ class TestWorkspaceTrainerMatchesAllocatingReference:
         ("span", True, 0.1, 60, 20, "world"),            # span projected
         ("exact", True, 0.1, 40, 10, [20, 3, 17, 3]),    # unsorted, duplicated, full-rank block
         ("span", False, 0.1, 40, 10, None),              # no mask
-        ("exact", True, 0.0, 10, 5, "world"),            # zero learning rate
         ("span", False, 0.1, 47, 10, "world"),           # steps not a multiple
     ])
     def test_final_state_and_records_are_bitwise_equal(self, form, projected, lr, steps,
@@ -793,15 +792,6 @@ class TestReducedExactProjectedTraining:
             for field in ("loss", "gap_full", "gap_masked"):
                 assert getattr(ra, field) == pytest.approx(getattr(rb, field), rel=self.TOL), field
 
-    def test_zero_learning_rate_returns_the_initial_state_bitwise(self, monkeypatch):
-        widths = _record_workspace_widths(monkeypatch)
-        w = self.world()
-        res = train_contrastive(w.pairs, 0.07, self.cfg(lr=0.0, steps=10, record_every=5),
-                                masked_dims=w.shared_ineffective)
-        assert widths == [24]
-        assert _bitwise_equal(res.final.x.values, w.pairs.x.values)
-        assert _bitwise_equal(res.final.y.values, w.pairs.y.values)
-
     def test_degenerating_projection_fails_at_the_reference_step(self, monkeypatch):
         widths = _record_workspace_widths(monkeypatch)
         w, cfg = self.world(), self.cfg(lr=1e154, record_every=5)
@@ -819,7 +809,6 @@ class TestReducedExactProjectedTraining:
         ("span", False, 0.1, "world", 512),    # train-sim's default form
         ("span", True, 0.1, "world", 512),
         ("exact", False, 0.1, "world", 512),   # free rows
-        ("exact", True, 0.0, "world", 512),    # zero learning rate
         ("exact", True, 0.1, None, 512),       # no mask
         ("exact", True, 0.1, [3, 300], 512),   # a block of full rank
     ])

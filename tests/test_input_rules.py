@@ -1,8 +1,9 @@
 """Each input rule is written once, in ``linalg``, and every public entry that
 takes a noise scale, a gap, a learning rate, a ridge penalty or a span
 dimension goes through it: one message names the argument, and NaN and
-infinity fail the rule as a negative value does. The span basis and the gap
-direction of both generators come from one draw."""
+infinity fail the rule as a negative value (or, for a positive magnitude,
+zero) does. The span basis and the gap direction of both generators come
+from one draw."""
 
 import math
 import re
@@ -18,14 +19,17 @@ from gaplab.worlds import make_gap_world
 
 NON_NEGATIVE = [  # (name in the message, the entry built with that value)
     ("sigma", lambda v: C3Config(sigma=v)),
-    ("learning rate", lambda v: TrainerConfig(learning_rate=v)),
     ("sigma", lambda v: make_gap_world(50, 8, 3, 0.5, v)),
     ("gap_norm", lambda v: make_gap_world(50, 8, 3, v, 0.05)),
     ("sigma_align", lambda v: make_toy_task(n=200, sigma_align=v)),
     ("gap_norm", lambda v: make_toy_task(n=200, gap_norm=v)),
 ]
-ENTRY_IDS = ["C3Config", "TrainerConfig", "gap_world-sigma", "gap_world-gap_norm",
-             "toy_task-sigma_align", "toy_task-gap_norm"]
+ENTRY_IDS = ["C3Config", "gap_world-sigma", "gap_world-gap_norm", "toy_task-sigma_align",
+             "toy_task-gap_norm"]
+POSITIVE = [  # (name in the message, the entry built with that value)
+    ("lam", lambda v: train_decoder(np.ones((3, 2)), np.ones((3, 1)), lam=v)),
+    ("learning rate", lambda v: TrainerConfig(learning_rate=v)),
+]
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
@@ -36,9 +40,10 @@ def test_non_negative_magnitudes_are_finite(name, build, value):
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
-def test_ridge_penalty_is_positive_and_finite(value):
-    with pytest.raises(ValueError, match=re.escape(f"lam must be positive and finite, got {value}")):
-        train_decoder(np.ones((3, 2)), np.ones((3, 1)), lam=value)
+@pytest.mark.parametrize("name,build", POSITIVE, ids=["train_decoder", "TrainerConfig"])
+def test_positive_magnitudes_are_finite(name, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got {value}")):
+        build(value)
 
 
 @pytest.mark.parametrize("span_dim,gap_norm,message", [
