@@ -39,7 +39,6 @@ from .geometry import (
     GapReport,
     group_pairs,
     group_statistics,
-    estimate_gap_vector,
     masked_gap_distance,
     per_dim_variance,
 )
@@ -50,7 +49,6 @@ from .worlds import (
     MlpProbe,
     make_gap_world,
     make_collapsed_init_world,
-    xavier_uniform,
     mlp_collapse_sim,
 )
 from .c3 import (

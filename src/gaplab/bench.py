@@ -208,7 +208,8 @@ class RidgeDecoder:
 
 
 def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) -> RidgeDecoder:
-    """Solve (X'X + lam I) W = X'T on centered data, bias from the means.
+    """Solve (X'X + lam I) W = X'T on centered data (T: one row of codes per
+    input row), bias from the means.
 
     ``lam`` must be positive and finite so the normal equations are always
     well posed.
@@ -218,8 +219,6 @@ def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) ->
     if x.shape[0] == 0:
         raise ValueError(f"train_decoder needs at least one input row, got shape {x.shape}")
     t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
     if x.shape[0] != t.shape[0]:
         raise ValueError("inputs and targets disagree on the sample count")
     x_mean = x.mean(axis=0)
@@ -261,8 +260,8 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
     of its own training y rows, the test side the mean of its own test x
     rows. The raw or collapsed train rows and normalized test inputs each cell
     needs are prepared once, and the keyed unit noise of the train rows is
-    drawn once, at the first corrupting cell with a nonzero sigma; every
-    corrupting cell rescales that one draw.
+    drawn once, at the first corrupting cell; every corrupting cell rescales
+    that one draw, a sigma of 0 included (its rows equal the uncorrupted ones).
     """
     sides = {_VARIANTS[v][0] for v, _ in cells}
     y_train = task.pairs.y.values[task.train_idx]
@@ -277,10 +276,9 @@ def _seed_scores(task: ToyTask, cells, lam: float, noise_seed: int) -> list[floa
         train_rows = train_base[collapsed]
         if mode is not None:
             cfg = C3Config(sigma=sigma, mode=mode, gap_direction=task.gap_direction, seed=noise_seed)
-            if sigma != 0.0:
-                if unit is None:
-                    unit = _unit_noise(noise_seed, *y_train.shape)
-                train_rows = _add_noise(train_rows, unit, cfg)
+            if unit is None:
+                unit = _unit_noise(noise_seed, *y_train.shape)
+            train_rows = _add_noise(train_rows, unit, cfg)
         scores.append(_score(task, train_rows, test_inputs[collapsed].values, lam))
     return scores
 
@@ -303,13 +301,14 @@ class AblationRow:
 
 
 def run_ablation(
-    task_kwargs: dict | None = None,
+    task_kwargs: dict,
     seeds: tuple = (0, 1, 2, 3, 4),
     sigma_grid: tuple = SIGMA_GRID,
     lam: float = 1e-3,
 ) -> list[AblationRow]:
     """Evaluate every variant of ``VARIANTS``, in that order, over seeds,
-    sweeping the training noise level.
+    sweeping the training noise level, on the tasks that
+    ``make_toy_task(seed=s, **task_kwargs)`` builds for each seed s.
 
     Variants without a corruption stage ignore the sweep. For each variant
     the grid entry with the highest seed-mean accuracy is reported (the
@@ -335,7 +334,6 @@ def _ablation(task_kwargs, seeds, sigma_grid, lam, in_modality=False):
         _check_nonnegative_finite("sigma_grid entry", sigma)
     plan = [(v, sigma_grid if mode is not None else (0.0,)) for v, (_, mode) in _VARIANTS.items()]
     cells = [(v, sigma) for v, grid in plan for sigma in grid]
-    task_kwargs = dict(task_kwargs or {})
     per_seed = []
     sanity = []
     for s in seeds:

@@ -192,13 +192,13 @@ def corrupt(m, cfg: C3Config) -> np.ndarray:
 
     In span-only mode the sampled noise has its projection onto
     ``cfg.gap_direction`` removed before being added, leaving each row's
-    component along that direction untouched.
+    component along that direction untouched. The result is always a new
+    array; at sigma 0 it compares equal to the input (the keyed noise is
+    drawn and scaled to zeros).
     """
     a = as_array(m)
     if cfg.mode == MODE_SPAN_ONLY and cfg.gap_direction.shape[0] != a.shape[1]:
         raise ValueError(f"gap_direction has dimension {cfg.gap_direction.shape[0]}, "
                          f"rows have {a.shape[1]}")
-    if cfg.sigma == 0.0:
-        return a.copy()
     return _add_noise(a, _unit_noise(cfg.seed, *a.shape), cfg)
 

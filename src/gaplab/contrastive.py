@@ -257,8 +257,7 @@ class TrainingRecord:
     """Metrics captured at one checkpoint of a training run.
 
     ``masked_grad_max`` is the largest absolute raw-gradient entry inside
-    the masked dimensions seen since the previous checkpoint (0.0 when no
-    mask was given).
+    the masked dimensions seen since the previous checkpoint.
     """
 
     step: int
@@ -304,17 +303,19 @@ def _block_basis(x: np.ndarray, y: np.ndarray, block: np.ndarray) -> np.ndarray 
 
 def train_contrastive(
     init: PairedEmbeddings,
-    tau: float = DEFAULT_TAU,
-    cfg: TrainerConfig = TrainerConfig(),
-    masked_dims: np.ndarray | None = None,
+    tau: float,
+    cfg: TrainerConfig,
+    masked_dims: np.ndarray,
 ) -> TrainingResult:
     """Optimize both embedding matrices by full-batch gradient descent.
 
-    Descends ``exact_gradients`` by default (``cfg.gradient_form`` can select
-    the span form instead). Each checkpoint records the loss of the current
-    state, the distance between modality means over all dimensions and over
-    ``masked_dims``, and the largest absolute raw-gradient entry inside
-    ``masked_dims`` since the previous checkpoint. Geometry metrics are
+    Descends ``exact_gradients`` or ``span_gradients``, as
+    ``cfg.gradient_form`` selects. Every argument is required: the masked
+    block ``masked_dims`` is what the run is watched on. Each checkpoint
+    records the loss of the current state, the distance between modality
+    means over all dimensions and over ``masked_dims``, and the largest
+    absolute raw-gradient entry inside ``masked_dims`` since the previous
+    checkpoint. Geometry metrics are
     measured on unit-normalized views of the state; the loss is measured on
     the state itself. The run is deterministic given the inputs and config.
 
@@ -335,7 +336,7 @@ def train_contrastive(
     to d columns once, at the end. On the collapsed-init world at the
     long-running shape (n=1000, d=512) that is 257 columns. The records and
     the final state then differ from the d-column run by rounding only.
-    Every other run (span form, free rows, no mask or a full-rank block)
+    Every other run (span form, free rows or a full-rank block)
     keeps the d-column path and its bits.
 
     Raises
@@ -351,11 +352,11 @@ def train_contrastive(
     if unit and not (init.x.unit_norm and init.y.unit_norm):
         raise ValueError("projected descent requires unit-norm initial embeddings")
     n, d = init.n, init.d
-    mask = None if masked_dims is None else _checked_mask(masked_dims, d)
+    mask = _checked_mask(masked_dims, d)
     span = cfg.gradient_form == "span"
     x, y = init.x.values, init.y.values
     q = None
-    if mask is not None and not span and unit:
+    if not span and unit:
         block = np.unique(mask)
         q = _block_basis(x, y, block)
     if q is None:
@@ -376,7 +377,7 @@ def train_contrastive(
             out[..., block] = a[..., k:] @ q.T
             return out
     ws = _Workspace(n, x.shape[1])
-    masked_abs = None if mask is None else np.empty((n, mask.size if q is None else block.size))
+    masked_abs = np.empty((n, mask.size if q is None else block.size))
 
     def record(step: int, loss: float, masked_grad_max: float) -> TrainingRecord:
         if not math.isfinite(loss):
@@ -387,24 +388,22 @@ def train_contrastive(
             raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
         diff = full(xs.mean(axis=0) - ys.mean(axis=0))
         return TrainingRecord(step, loss, float(np.linalg.norm(diff)),
-                              float(np.linalg.norm(diff if mask is None else diff[mask])),
-                              masked_grad_max)
+                              float(np.linalg.norm(diff[mask])), masked_grad_max)
 
     trajectory: list[TrainingRecord] = []
     running_masked_max = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps + 1):
             grad_x, grad_y, loss = _gradients(x, y, tau, span, ws)
-            if mask is not None:
-                for g in (grad_x, grad_y):
-                    if q is None:
-                        # The mask is range-checked, so "clip" never clips; it gathers
-                        # straight into the buffer where "raise" would buffer again.
-                        np.take(g, mask, axis=1, out=masked_abs, mode="clip")
-                    else:
-                        np.matmul(g[:, k:], q.T, out=masked_abs)
-                    running_masked_max = max(running_masked_max,
-                                             float(np.abs(masked_abs, out=masked_abs).max()))
+            for g in (grad_x, grad_y):
+                if q is None:
+                    # The mask is range-checked, so "clip" never clips; it gathers
+                    # straight into the buffer where "raise" would buffer again.
+                    np.take(g, mask, axis=1, out=masked_abs, mode="clip")
+                else:
+                    np.matmul(g[:, k:], q.T, out=masked_abs)
+                running_masked_max = max(running_masked_max,
+                                         float(np.abs(masked_abs, out=masked_abs).max()))
             if step % cfg.record_every == 0 or step == cfg.steps:
                 trajectory.append(record(step, loss, running_masked_max))
                 running_masked_max = 0.0
@@ -487,11 +486,8 @@ def _anchor_reports(sims: np.ndarray, i: int, taus, delta: float) -> list[Stable
     profile are taken once, then one exp-sum per tau gives o'. Tied hardest
     negatives are accepted: the crowding bound holds whichever one is left out.
     """
-    n = sims.shape[0]
-    if n < 2:
+    if sims.shape[0] < 2:
         raise ValueError("an anchor needs at least one negative (n >= 2)")
-    if not (0 <= i < n):
-        raise IndexError(f"row {i} out of range for n={n}")
     _check_positive_finite("delta", delta)
     negatives = np.delete(sims, i)
     m = int(np.argmax(negatives))
@@ -519,7 +515,7 @@ def loss_bound_check(batch: ContrastiveBatch, i: int, delta: float) -> StableReg
     of the anchor's negative similarities and r its margin (matched
     similarity minus hardest negative). Tied hardest negatives are accepted.
     """
-    x, y = batch.pairs.x.values, batch.pairs.y.values
-    # an index outside [0, n) is left to the kernel's check: x[i] would wrap a negative one
-    sims = x[i] @ y.T if 0 <= i < batch.n else np.zeros(batch.n)
+    if not (0 <= i < batch.n):  # x[i] would wrap a negative i
+        raise IndexError(f"row {i} out of range for n={batch.n}")
+    sims = batch.pairs.x.values[i] @ batch.pairs.y.values.T
     return _anchor_reports(sims, i, (batch.tau,), delta)[0]

@@ -22,7 +22,9 @@ float64 result. Neither holds a full-size copy of the payload, and the bytes
 and values are those of a whole-matrix conversion. A CSV read parses one
 line at a time into a float64 row and stacks the rows once. A read scans
 the matrix for non-finite values once, in ``EmbeddingMatrix``; only if that
-scan fails is the first bad value located for the message.
+scan fails is the first bad value located for the message. A write makes
+the same checks first, so a matrix with no rows or no columns, which no
+reader accepts, is rejected before any file is made.
 """
 
 from __future__ import annotations
@@ -123,10 +125,10 @@ def _embedding(values: np.ndarray) -> EmbeddingMatrix:
 
 
 def write_mmeb(matrix, path: str) -> None:
-    """Write a matrix as MMEB (float32 payload, atomic). A value that is not
-    finite, or that float32 rounds to infinity, is rejected before any write."""
-    values = as_array(matrix)
-    _check_finite(values)
+    """Write a matrix as MMEB (float32 payload, atomic). An empty shape, a value
+    that is not finite, or one that float32 rounds to infinity, is rejected
+    before any write."""
+    values = _embedding(as_array(matrix)).values
     for blk in _row_blocks(*values.shape):
         over = np.argwhere(np.abs(values[blk]) >= _FLOAT32_OVERFLOW)
         if len(over):
@@ -175,13 +177,13 @@ def read_mmeb(path: str) -> EmbeddingMatrix:
 
 def write_csv(matrix, path: str) -> None:
     """Write a matrix as CSV with 17-significant-digit decimal values, one
-    ``_row_blocks`` block of lines at a time (no rows: one empty line)."""
-    values = as_array(matrix)
-    _check_finite(values)
+    ``_row_blocks`` block of lines at a time. An empty shape or a value that is
+    not finite is rejected before any write."""
+    values = _embedding(as_array(matrix)).values
     line = ",".join(["%.17g"] * values.shape[1]) + "\n"
     blocks = ("".join(line % tuple(row.tolist()) for row in values[blk]).encode("ascii")
               for blk in _row_blocks(*values.shape))
-    _atomic_write(path, blocks if len(values) else b"\n")
+    _atomic_write(path, blocks)
 
 
 def read_csv(path: str) -> EmbeddingMatrix:

@@ -35,7 +35,6 @@ __all__ = [
     "GapReport",
     "group_pairs",
     "group_statistics",
-    "estimate_gap_vector",
     "masked_gap_distance",
     "per_dim_variance",
 ]
@@ -188,16 +187,12 @@ def group_statistics(
     )
 
 
-def estimate_gap_vector(pairs: PairedEmbeddings) -> np.ndarray:
-    """Difference of the modality means, the whole-dataset gap estimate."""
-    return pairs.x.values.mean(axis=0) - pairs.y.values.mean(axis=0)
-
-
 def masked_gap_distance(pairs: PairedEmbeddings, mask) -> float:
     """L2 distance between the modality means restricted to ``mask`` dimensions,
     a non-empty 1-d array of integer dimensions in [0, d) (ValueError otherwise)."""
     mask = _checked_mask(mask, pairs.d)
-    return float(np.linalg.norm(estimate_gap_vector(pairs)[mask]))
+    gap = pairs.x.values.mean(axis=0) - pairs.y.values.mean(axis=0)
+    return float(np.linalg.norm(gap[mask]))
 
 
 def per_dim_variance(m) -> np.ndarray:

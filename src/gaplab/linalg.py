@@ -15,7 +15,6 @@ __all__ = [
     "EmbeddingMatrix",
     "PairedEmbeddings",
     "SpectralSummary",
-    "as_array",
     "l2_normalize_rows",
     "covariance",
     "spectral_summary",
@@ -30,6 +29,8 @@ _BLOCK_BYTES = 512 * 1024
 # Smallest row norm and widest row for which ``_unit_rows_into`` proves unit norms
 _MIN_PROVEN_NORM = 2.0**-400
 _MAX_PROVEN_DIM = 2**20
+# Row pairs ``mean_pairwise_cosine`` enumerates, or samples when there are more
+_MAX_PAIRS = 10_000
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -345,14 +346,13 @@ def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
     return np.clip(vals, -1.0, 1.0), int(ok.size - j.size)
 
 
-def mean_pairwise_cosine(
-    m, max_pairs: int = 10_000, seed: int = 0
-) -> tuple[float, float]:
+def mean_pairwise_cosine(m, seed: int = 0) -> tuple[float, float]:
     """Mean and std of cosine similarity over unordered row pairs.
 
-    All n(n-1)/2 pairs are enumerated when there are at most ``max_pairs``
-    of them; otherwise a uniform sample of ``max_pairs`` pairs is drawn
-    from the seeded generator, so results are deterministic per seed.
+    All n(n-1)/2 pairs are enumerated when there are at most ``_MAX_PAIRS``
+    (10,000) of them, up to n = 141; otherwise a uniform sample of
+    ``_MAX_PAIRS`` pairs is drawn from the seeded generator, so results are
+    deterministic per seed.
     """
     a = as_array(m)
     n = a.shape[0]
@@ -362,6 +362,6 @@ def mean_pairwise_cosine(
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"zero row at index {zero[0]}")
-    vals, _ = _pair_cosines(a, *_index_pairs(np.random.default_rng(seed), n, max_pairs),
+    vals, _ = _pair_cosines(a, *_index_pairs(np.random.default_rng(seed), n, _MAX_PAIRS),
                             norms=norms)
     return float(vals.mean()), float(vals.std())

@@ -43,7 +43,6 @@ __all__ = [
     "MlpProbe",
     "make_gap_world",
     "make_collapsed_init_world",
-    "xavier_uniform",
     "mlp_collapse_sim",
 ]
 
@@ -183,14 +182,6 @@ def make_collapsed_init_world(
     )
 
 
-def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Weight matrix of shape (fan_out, fan_in) from U[-b, b], b = sqrt(6/(fan_in+fan_out))."""
-    if fan_in < 1 or fan_out < 1:
-        raise ValueError("fans must be >= 1")
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-
 @dataclass(frozen=True)
 class MlpSimConfig:
     """Depth/width/probing settings for the feature-collapse simulation."""
@@ -203,12 +194,11 @@ class MlpSimConfig:
     gamma: float = 0.99
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if self.depth and self.depth < self.probe_stride:
+        for key, least in (("depth", 1), ("width", 1), ("n_inputs", 2), ("probe_stride", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if self.depth < self.probe_stride:
             raise ValueError("depth must be >= probe_stride so at least one probe lands")
-        if self.width < 1 or self.n_inputs < 2 or self.probe_stride < 1:
-            raise ValueError("width >= 1, n_inputs >= 2, probe_stride >= 1 required")
 
 
 @dataclass(frozen=True)
@@ -244,16 +234,19 @@ def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
 def mlp_collapse_sim(cfg: MlpSimConfig = MlpSimConfig()) -> list[MlpProbe]:
     """Forward Gaussian inputs through linear+ReLU blocks and probe features.
 
-    Weights are Xavier-uniform, biases zero. Layer 0 (the raw inputs) is
-    always probed; afterwards every ``probe_stride``-th layer is. Each probe
+    Weights are Xavier-uniform, each layer's width x width matrix drawn
+    from U[-b, b] with b = sqrt(6 / (width + width)); biases are zero.
+    Layer 0 (the raw inputs) is always probed; afterwards every
+    ``probe_stride``-th layer is. Each probe
     reports the spectral summary of the feature covariance at ``cfg.gamma``
     and the mean pairwise cosine between feature rows.
     """
     rng = np.random.default_rng(cfg.seed)
     h = rng.standard_normal((cfg.n_inputs, cfg.width))
     probes = [_probe(h, 0, cfg.gamma, cfg.seed)]
+    b = np.sqrt(6.0 / (cfg.width + cfg.width))
     for layer in range(1, cfg.depth + 1):
-        w = xavier_uniform(cfg.width, cfg.width, rng)
+        w = rng.uniform(-b, b, size=(cfg.width, cfg.width))
         h = h @ w.T
         np.maximum(h, 0.0, out=h)
         if layer % cfg.probe_stride == 0:

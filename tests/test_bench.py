@@ -278,7 +278,7 @@ class TestAblation:
 
     def test_empty_sigma_grid_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            run_ablation(sigma_grid=())
+            run_ablation(task_kwargs={}, sigma_grid=())
 
     @pytest.mark.parametrize("kwargs,grid,message", [
         (dict(n=200, d=16, span_dim=16, gap_norm=0.0, sigma_align=0.0), bench.SIGMA_GRID,

@@ -137,6 +137,15 @@ class TestConfigTypes:
         err = exits_2_with_one_line(capsys, tmp_path, "c3-bench", config)
         assert err == f"gaplab c3-bench: error: {message}\n"
 
+    @pytest.mark.parametrize("key,value,least", [
+        ("probe_stride", 0, 1),
+        ("width", 0, 1),
+        ("n_inputs", 1, 2),
+    ])
+    def test_mlp_sim_config_names_key_and_value(self, capsys, tmp_path, key, value, least):
+        err = exits_2_with_one_line(capsys, tmp_path, "mlp-collapse", {key: value})
+        assert err == f"gaplab mlp-collapse: error: {key} must be >= {least}, got {value}\n"
+
     @pytest.mark.parametrize("delta", [1000.0, 1e308])
     def test_delta_above_log_dbl_max_exits_2(self, capsys, tmp_path, delta):
         err = exits_2_with_one_line(capsys, tmp_path, "stable-region", {"delta": delta})

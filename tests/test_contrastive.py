@@ -236,8 +236,8 @@ class TestTrainer:
     def test_deterministic(self):
         w = make_collapsed_init_world(n=24, d=32, dex=4, dey=10, seed=1)
         cfg = TrainerConfig(learning_rate=0.1, steps=50, record_every=10)
-        a = train_contrastive(w.pairs, 0.07, cfg)
-        b = train_contrastive(w.pairs, 0.07, cfg)
+        a = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
+        b = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
         np.testing.assert_array_equal(a.final.x.values, b.final.x.values)
         assert [r.loss for r in a.trajectory] == [r.loss for r in b.trajectory]
 
@@ -251,7 +251,7 @@ class TestTrainer:
     def test_projection_keeps_rows_unit(self):
         w = make_collapsed_init_world(n=20, d=16, dex=3, dey=6, seed=3)
         cfg = TrainerConfig(learning_rate=0.1, steps=30, record_every=30)
-        res = train_contrastive(w.pairs, 0.07, cfg)
+        res = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
         norms = np.linalg.norm(res.final.x.values, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -282,9 +282,9 @@ class TestTrainer:
                             renormalize_each_step=False)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError) as want:
-                ref_alloc_train(w.pairs, tau, cfg, None)
+                ref_alloc_train(w.pairs, tau, cfg, w.shared_ineffective)
             with pytest.raises(FloatingPointError) as got:
-                train_contrastive(w.pairs, tau, cfg)
+                train_contrastive(w.pairs, tau, cfg, masked_dims=w.shared_ineffective)
         assert str(want.value) == message
         assert str(got.value) == str(want.value)
 
@@ -292,7 +292,12 @@ class TestTrainer:
         raw = EmbeddingMatrix(np.random.default_rng(0).standard_normal((4, 6)))
         pairs = PairedEmbeddings(x=raw, y=raw)
         with pytest.raises(ValueError, match="unit-norm"):
-            train_contrastive(pairs, 0.07, TrainerConfig(steps=1))
+            train_contrastive(pairs, 0.07, TrainerConfig(steps=1), masked_dims=[0])
+
+    def test_masked_dims_required(self):
+        w = make_collapsed_init_world(n=8, d=12, dex=2, dey=4, seed=5)
+        with pytest.raises(TypeError, match="masked_dims"):
+            train_contrastive(w.pairs, 0.07, TrainerConfig(steps=1))
 
 
 class TestMargin:
@@ -440,6 +445,12 @@ class TestStableRegion:
     def test_anchor_index_out_of_range(self, i):
         with pytest.raises(IndexError, match="out of range"):
             loss_bound_check(unit_batch(np.random.default_rng(24), 3, 4), i, 0.01)
+
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_one_row_batch_reports_the_bad_index_first(self, i):
+        # the range check runs before the anchor's need for a negative
+        with pytest.raises(IndexError, match=f"row {i} out of range for n=1"):
+            loss_bound_check(unit_batch(np.random.default_rng(26), 1, 4), i, 0.01)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError, match="delta"):
@@ -612,7 +623,7 @@ def _ref_l2_normalize_rows(a):
 
 def ref_alloc_train(init, tau, cfg, masked_dims):
     """(final x, final y, records as tuples) of the allocating trainer."""
-    mask = None if masked_dims is None else np.asarray(masked_dims, dtype=np.intp)
+    mask = np.asarray(masked_dims, dtype=np.intp)
     span = cfg.gradient_form == "span"
     x = init.x.values.copy()
     y = init.y.values.copy()
@@ -631,18 +642,14 @@ def ref_alloc_train(init, tau, cfg, masked_dims):
             raise FloatingPointError(f"state degenerated at step {step}: {exc}") from exc
         diff = xs.mean(axis=0) - ys.mean(axis=0)
         return (step, loss, float(np.linalg.norm(diff)),
-                float(np.linalg.norm(diff if mask is None else diff[mask])), masked_grad_max)
+                float(np.linalg.norm(diff[mask])), masked_grad_max)
 
     trajectory = []
     running_masked_max = 0.0
     for step in range(cfg.steps + 1):
         grad_x, grad_y, loss = _ref_alloc_gradients(x, y, tau, span)
-        if mask is not None:
-            seen = max(
-                float(np.abs(grad_x[:, mask]).max()),
-                float(np.abs(grad_y[:, mask]).max()),
-            )
-            running_masked_max = max(running_masked_max, seen)
+        seen = max(float(np.abs(grad_x[:, mask]).max()), float(np.abs(grad_y[:, mask]).max()))
+        running_masked_max = max(running_masked_max, seen)
         if step % cfg.record_every == 0 or step == cfg.steps:
             trajectory.append(snapshot(step, loss, running_masked_max))
             running_masked_max = 0.0
@@ -673,7 +680,7 @@ class TestWorkspaceTrainerMatchesAllocatingReference:
         ("exact", False, 0.1, 60, 20, "world"),          # exact on free rows
         ("span", True, 0.1, 60, 20, "world"),            # span projected
         ("exact", True, 0.1, 40, 10, [20, 3, 17, 3]),    # unsorted, duplicated, full-rank block
-        ("span", False, 0.1, 40, 10, None),              # no mask
+        ("span", False, 0.1, 40, 10, [0, 5]),            # a mask of varying dimensions
         ("span", False, 0.1, 47, 10, "world"),           # steps not a multiple
     ])
     def test_final_state_and_records_are_bitwise_equal(self, form, projected, lr, steps,
@@ -809,7 +816,6 @@ class TestReducedExactProjectedTraining:
         ("span", False, 0.1, "world", 512),    # train-sim's default form
         ("span", True, 0.1, "world", 512),
         ("exact", False, 0.1, "world", 512),   # free rows
-        ("exact", True, 0.1, None, 512),       # no mask
         ("exact", True, 0.1, [3, 300], 512),   # a block of full rank
     ])
     def test_workspace_width_on_the_collapsed_world(self, monkeypatch, form, projected, lr,
@@ -874,7 +880,8 @@ class TestTemperatureAndDeltaChecked:
         monkeypatch.setattr(contrastive, "_gradients", no_step)
         w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
-            train_contrastive(w.pairs, tau, TrainerConfig(steps=50, renormalize_each_step=False))
+            train_contrastive(w.pairs, tau, TrainerConfig(steps=50, renormalize_each_step=False),
+                              masked_dims=w.shared_ineffective)
 
     @pytest.mark.parametrize("tau", BAD)
     def test_batch_rejects_tau(self, tau):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaplab.geometry import (
-    estimate_gap_vector,
     group_pairs,
     group_statistics,
     masked_gap_distance,
@@ -112,22 +111,25 @@ class TestGroupStatistics:
 
 
 class TestGapVector:
-    def test_pure_constant_offset(self):
+    """``masked_gap_distance`` is the norm of the mean difference on its mask."""
+
+    @pytest.mark.parametrize("mask", [np.arange(6), [0, 2, 5], [4]])
+    def test_pure_constant_offset(self, mask):
         rng = np.random.default_rng(2)
         y = rng.standard_normal((50, 6))
         c = rng.standard_normal(6)
-        got = estimate_gap_vector(pairs_from(y + c, y))
-        np.testing.assert_allclose(got, c, atol=1e-12)
+        got = masked_gap_distance(pairs_from(y + c, y), mask)
+        assert got == pytest.approx(np.linalg.norm(c[mask]), abs=1e-12)
 
     def test_zero_world(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal((20, 4))
-        np.testing.assert_allclose(estimate_gap_vector(pairs_from(y.copy(), y)), 0.0, atol=1e-15)
+        assert masked_gap_distance(pairs_from(y.copy(), y), np.arange(4)) == 0.0
 
     def test_clt_recovery(self):
         w = make_gap_world(n=2000, d=32, span_dim=8, gap_norm=0.83, sigma=0.05, seed=9)
-        got = estimate_gap_vector(w.pairs)
-        assert np.abs(got - w.true_gap).max() < 4 * 0.05 / np.sqrt(2000)
+        got = np.array([masked_gap_distance(w.pairs, [j]) for j in range(32)])
+        assert np.abs(got - np.abs(w.true_gap)).max() < 4 * 0.05 / np.sqrt(2000)
 
 
 class TestMaskedGap:

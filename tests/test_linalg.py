@@ -339,11 +339,20 @@ class TestMeanPairwiseCosine:
         with pytest.raises(ValueError):
             mean_pairwise_cosine(m)
 
-    @pytest.mark.parametrize("max_pairs", [0, -5])
-    def test_rejects_pair_budget_below_one(self, max_pairs):
-        m = np.random.default_rng(2).standard_normal((10, 4))
-        with pytest.raises(ValueError, match=f"pair budget must be >= 1, got {max_pairs}"):
-            mean_pairwise_cosine(m, max_pairs=max_pairs)
+    def test_enumerates_every_pair_up_to_the_budget(self):
+        # 141 rows give 9,870 pairs, under the 10,000 budget: the seed is unused
+        m = np.random.default_rng(29).standard_normal((141, 8))
+        unit = m / np.linalg.norm(m, axis=1)[:, None]
+        full = (unit @ unit.T)[np.triu_indices(141, k=1)]
+        mean, std = mean_pairwise_cosine(m, seed=0)
+        assert (mean, std) == mean_pairwise_cosine(m, seed=1)
+        assert mean == pytest.approx(full.mean(), abs=1e-12)
+        assert std == pytest.approx(full.std(), abs=1e-12)
+
+    def test_samples_beyond_the_budget(self):
+        # 142 rows give 10,011 pairs, over the budget: a seeded sample is drawn
+        m = np.random.default_rng(29).standard_normal((142, 8))
+        assert mean_pairwise_cosine(m, seed=0) != mean_pairwise_cosine(m, seed=1)
 
 
 class TestContainers:

@@ -29,9 +29,10 @@ from gaplab.contrastive import ContrastiveBatch, loss_bound_check, stable_region
 from gaplab.geometry import GapReport, PairGroups, group_pairs, group_statistics
 from gaplab.linalg import (EmbeddingMatrix, PairedEmbeddings, _index_pairs, covariance,
                            l2_normalize_rows, mean_pairwise_cosine, spectral_summary)
-from gaplab.worlds import MlpSimConfig, make_gap_world, mlp_collapse_sim, xavier_uniform
+from gaplab.worlds import MlpSimConfig, make_gap_world, mlp_collapse_sim
 
 ZERO_VECTOR_TOL = 1e-12
+MAX_PAIRS = 10_000  # the row pairs mean_pairwise_cosine enumerates before it samples
 
 
 def ref_sample_index_pairs(rng, g, wanted):
@@ -102,20 +103,20 @@ def ref_group_statistics(groups, pairs_per_group=1000, seed=0):
     )
 
 
-def ref_mean_pairwise_cosine(m, max_pairs=10_000, seed=0):
+def ref_mean_pairwise_cosine(m, seed=0):
     a = np.asarray(m, dtype=np.float64)
     n = a.shape[0]
     norms = np.linalg.norm(a, axis=1)
     unit = a / norms[:, None]
     total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if total <= MAX_PAIRS:
         g = unit @ unit.T
         iu = np.triu_indices(n, k=1)
         vals = g[iu]
     else:
         rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=max_pairs)
-        j = rng.integers(0, n - 1, size=max_pairs)
+        i = rng.integers(0, n, size=MAX_PAIRS)
+        j = rng.integers(0, n - 1, size=MAX_PAIRS)
         j = np.where(j >= i, j + 1, j)
         vals = np.einsum("ij,ij->i", unit[i], unit[j])
     vals = np.clip(vals, -1.0, 1.0)
@@ -143,8 +144,8 @@ def ref_unblocked_pair_cosines(rows, j, k, tol=0.0):
     return np.clip(vals, -1.0, 1.0), int(ok.size - j.size)
 
 
-def ref_unblocked_mean_pairwise_cosine(a, max_pairs=10_000, seed=0):
-    pairs = ref_sample_index_pairs(np.random.default_rng(seed), a.shape[0], max_pairs)
+def ref_unblocked_mean_pairwise_cosine(a, seed=0):
+    pairs = ref_sample_index_pairs(np.random.default_rng(seed), a.shape[0], MAX_PAIRS)
     vals, _ = ref_unblocked_pair_cosines(a, *pairs)
     return float(vals.mean()), float(vals.std())
 
@@ -208,8 +209,9 @@ def ref_unblocked_mlp_probes(cfg):
     rng = np.random.default_rng(cfg.seed)
     h = rng.standard_normal((cfg.n_inputs, cfg.width))
     probes = [probe(h, 0)]
+    bound = math.sqrt(6.0 / (2 * cfg.width))  # Xavier-uniform, fan_in = fan_out = width
     for layer in range(1, cfg.depth + 1):
-        w = xavier_uniform(cfg.width, cfg.width, rng)
+        w = rng.uniform(-bound, bound, size=(cfg.width, cfg.width))
         h = np.maximum(h @ w.T, 0.0)
         if layer % cfg.probe_stride == 0:
             probes.append(probe(h, layer))
@@ -279,17 +281,18 @@ class TestSharedPrimitivesMatchReference:
         # the 25 repeated x rows of group 0 (orthogonality)
         assert full == 2 * within + 2 * within + 4 + 25
 
-    @pytest.mark.parametrize("n,d,offset,max_pairs", [
-        (40, 16, 0.0, 10_000),    # every pair
-        (40, 16, 3.0, 10_000),
-        (1000, 64, 0.0, 10_000),  # sampled pairs
-        (1000, 64, 3.0, 10_000),
-        (300, 8, 1.0, 500),
+    @pytest.mark.parametrize("n,d,offset", [
+        (40, 16, 0.0),    # every pair
+        (40, 16, 3.0),
+        (1000, 64, 0.0),  # sampled pairs
+        (1000, 64, 3.0),
+        (141, 8, 1.0),    # every pair: 9,870 of them, the most under 10,000
+        (142, 8, 1.0),    # 10,011 pairs: 10,000 sampled
     ])
-    def test_mean_pairwise_cosine(self, n, d, offset, max_pairs):
+    def test_mean_pairwise_cosine(self, n, d, offset):
         m = np.random.default_rng(n + d).standard_normal((n, d)) + offset
-        got = mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4)
-        want = ref_mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4)
+        got = mean_pairwise_cosine(m, seed=4)
+        want = ref_mean_pairwise_cosine(m, seed=4)
         assert np.abs(np.subtract(got, want)).max() <= 1e-15
 
     @pytest.mark.parametrize("tau", [0.01, 0.07, 0.5])
@@ -327,16 +330,15 @@ def set_block_rows(monkeypatch, rows, d):
 
 class TestBlockedGathersMatchUnblocked:
     @pytest.mark.parametrize("rows", BLOCKS)
-    @pytest.mark.parametrize("n,d,max_pairs", [
-        (1000, 512, 10_000),  # sampled pairs, 128-row blocks
-        (300, 700, 10_000),   # sampled pairs, 93-row blocks, the last one partial
-        (100, 512, 10_000),   # every pair (4950)
+    @pytest.mark.parametrize("n,d", [
+        (1000, 512),  # sampled pairs, 128-row blocks
+        (300, 700),   # sampled pairs, 93-row blocks, the last one partial
+        (100, 512),   # every pair (4950)
     ])
-    def test_mean_pairwise_cosine(self, monkeypatch, rows, n, d, max_pairs):
+    def test_mean_pairwise_cosine(self, monkeypatch, rows, n, d):
         m = np.random.default_rng(n + d).standard_normal((n, d)) + 0.5
         set_block_rows(monkeypatch, rows, d)
-        assert (mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4)
-                == ref_unblocked_mean_pairwise_cosine(m, max_pairs=max_pairs, seed=4))
+        assert mean_pairwise_cosine(m, seed=4) == ref_unblocked_mean_pairwise_cosine(m, seed=4)
 
     @pytest.mark.parametrize("rows", BLOCKS)
     @pytest.mark.parametrize("source,pairs_per_group", [

@@ -9,7 +9,6 @@ from gaplab.worlds import (
     make_collapsed_init_world,
     make_gap_world,
     mlp_collapse_sim,
-    xavier_uniform,
 )
 
 RANK_GAMMA = 1.0 - 1e-9
@@ -104,29 +103,6 @@ class TestInitWorld:
             make_collapsed_init_world(n=10, d=16, dex=10, dey=10)
 
 
-class TestXavierUniform:
-    def test_entries_within_bound(self):
-        w = xavier_uniform(300, 200, rng=np.random.default_rng(0))
-        bound = np.sqrt(6.0 / 500)
-        assert w.shape == (200, 300)
-        assert np.abs(w).max() <= bound
-
-    def test_bound_for_512(self):
-        # sqrt(6/1024) to 30 digits is 0.0765465544619743...
-        w = xavier_uniform(512, 512, rng=np.random.default_rng(1))
-        assert np.abs(w).max() <= 0.07654655446197432
-        assert np.abs(w).max() > 0.0764  # the bound is actually approached
-
-    def test_sample_mean_near_zero(self):
-        w = xavier_uniform(512, 512, rng=np.random.default_rng(2))
-        bound = 0.07654655446197432
-        assert abs(w.mean()) < 3 * bound / np.sqrt(512 * 512)
-
-    def test_deterministic(self):
-        a = xavier_uniform(7, 9, rng=np.random.default_rng(5))
-        np.testing.assert_array_equal(a, xavier_uniform(7, 9, rng=np.random.default_rng(5)))
-
-
 class TestMlpCollapseSim:
     def test_probe_layers(self):
         probes = mlp_collapse_sim(MlpSimConfig(depth=10, width=32, n_inputs=100,
@@ -142,11 +118,9 @@ class TestMlpCollapseSim:
         np.testing.assert_allclose(probes[0].summary.singular_values,
                                    direct.singular_values, atol=1e-12)
 
-    def test_depth_zero_gives_input_probe_only(self):
-        probes = mlp_collapse_sim(MlpSimConfig(depth=0, width=16, n_inputs=64, seed=1))
-        assert len(probes) == 1 and probes[0].layer == 0
-        # isotropic input: effective dimension close to the gamma budget
-        assert probes[0].effective_dim > 0.8 * 16
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            MlpSimConfig(depth=0, width=16, n_inputs=64, seed=1)
 
     def test_collapse_deepens(self):
         probes = mlp_collapse_sim(MlpSimConfig(depth=10, width=128, n_inputs=400,

@@ -14,6 +14,9 @@ so both trees echo the same config. ``gap-stats-span`` runs gap-stats on a
 world with span-mode noise, which its defaults (full-mode) do not reach.
 ``c3-bench-40-classes`` scores 40-dimensional codes (two seeds), so the
 nearest-code sums run over 40 terms where the defaults' run over 10.
+``c3-bench-sigma-zero`` puts sigma 0 in the grid, so the corrupting
+variants are scored on noise scaled to zero; it exits 1 on both sides,
+because its checks fail at its size (400 rows, one seed).
 Three train-sim runs of 300 steps reach the trainer paths its defaults (span
 form, free rows) do not: the long-running form, which trains in reduced
 coordinates; the exact form on free rows; and the span form on projected
@@ -202,6 +205,7 @@ def main(argv=None) -> int:
               {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")}),
              ("gap-stats-span", "gap-stats", {"noise_mode": "span"}),
              ("c3-bench-40-classes", "c3-bench", {"classes": 40, "span_dim": 48, "seeds": 2}),
+             ("c3-bench-sigma-zero", "c3-bench", {"sigma_grid": [0.0, 0.05], "seeds": 1, "n": 400}),
              ("train-sim-long-running", "train-sim", {"long_running": True, "steps": 300}),
              ("train-sim-exact-free", "train-sim", {"gradient_form": "exact", "steps": 300}),
              ("train-sim-span-projected", "train-sim",
