@@ -53,7 +53,6 @@ from .worlds import (
 )
 from .c3 import (
     C3Config,
-    collapse,
     corrupt,
 )
 from .bench import (

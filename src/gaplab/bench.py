@@ -207,7 +207,7 @@ class RidgeDecoder:
         return np.asarray(inputs, dtype=np.float64) @ self.weights + self.bias
 
 
-def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float = 1e-3) -> RidgeDecoder:
+def train_decoder(inputs: np.ndarray, targets: np.ndarray, lam: float) -> RidgeDecoder:
     """Solve (X'X + lam I) W = X'T on centered data (T: one row of codes per
     input row), bias from the means.
 
@@ -302,7 +302,7 @@ class AblationRow:
 
 def run_ablation(
     task_kwargs: dict,
-    seeds: tuple = (0, 1, 2, 3, 4),
+    seeds: tuple,
     sigma_grid: tuple = SIGMA_GRID,
     lam: float = 1e-3,
 ) -> list[AblationRow]:

@@ -32,7 +32,6 @@ from .linalg import UNIT_NORM_TOL, _check_nonnegative_finite, as_array
 
 __all__ = [
     "C3Config",
-    "collapse",
     "corrupt",
 ]
 
@@ -44,7 +43,7 @@ MODE_SPAN_ONLY = "span_only"
 class C3Config:
     """How to draw the corruption noise."""
 
-    sigma: float = 0.05
+    sigma: float
     mode: str = MODE_FULL
     gap_direction: np.ndarray | None = None
     seed: int = 0

@@ -104,7 +104,7 @@ def _random_unit_pairs(rng: np.random.Generator, n: int, d: int) -> PairedEmbedd
     return PairedEmbeddings(x=x, y=l2_normalize_rows(rng.standard_normal((n, d))))
 
 
-def finite_difference_gradients(batch: ContrastiveBatch, h: float = 1e-5):
+def finite_difference_gradients(batch: ContrastiveBatch, h: float):
     """Central-difference gradients of the contrastive loss (the one
     ``contrastive._forward`` computes), entry by entry: each entry of a copy
     of the batch is moved to entry +- h and then restored."""

@@ -60,7 +60,6 @@ __all__ = [
     "StableRegionReport",
 ]
 
-DEFAULT_TAU = 0.07
 _MAX_DELTA = math.log(np.finfo(np.float64).max)  # about 709.78; exp(delta) - 1 overflows above
 _GRADIENT_FORMS = ("exact", "span")
 
@@ -70,7 +69,7 @@ class ContrastiveBatch:
     """Unit-norm paired embeddings plus a positive temperature."""
 
     pairs: PairedEmbeddings
-    tau: float = DEFAULT_TAU
+    tau: float
 
     def __post_init__(self):
         if not (self.pairs.x.unit_norm and self.pairs.y.unit_norm):
@@ -230,16 +229,16 @@ class TrainerConfig:
     unit-normalized copies at recording time only.
 
     ``gradient_form`` selects the update direction: "exact" (the true loss
-    gradient, the default) or "span" (the compact form, which leaves
-    coordinates shared by all rows of the opposite modality bitwise
-    untouched). ``learning_rate`` must be positive and finite.
+    gradient) or "span" (the compact form, which leaves coordinates shared
+    by all rows of the opposite modality bitwise untouched).
+    ``learning_rate`` must be positive and finite.
     """
 
-    learning_rate: float = 0.1
-    steps: int = 1000
-    renormalize_each_step: bool = True
-    record_every: int = 100
-    gradient_form: str = "exact"
+    learning_rate: float
+    steps: int
+    renormalize_each_step: bool
+    record_every: int
+    gradient_form: str
 
     def __post_init__(self):
         _check_positive_finite("learning rate", self.learning_rate)

@@ -22,9 +22,10 @@ float64 result. Neither holds a full-size copy of the payload, and the bytes
 and values are those of a whole-matrix conversion. A CSV read parses one
 line at a time into a float64 row and stacks the rows once. A read scans
 the matrix for non-finite values once, in ``EmbeddingMatrix``; only if that
-scan fails is the first bad value located for the message. A write makes
-the same checks first, so a matrix with no rows or no columns, which no
-reader accepts, is rejected before any file is made.
+scan fails is the first bad value located for the message, by its row, or
+in a CSV by its line in the file. A write makes the same checks first, so a
+matrix with no rows or no columns, which no reader accepts, is rejected
+before any file is made.
 """
 
 from __future__ import annotations
@@ -107,20 +108,18 @@ def _atomic_write(path: str, data) -> None:
         raise
 
 
-def _check_finite(values: np.ndarray) -> None:
-    """Raise NonFiniteValueError at the first NaN or infinity of ``values``."""
-    at = _first_nonfinite(values)
-    if at is not None:
-        raise NonFiniteValueError(f"non-finite value at row {at[0]}, col {at[1]}")
-
-
-def _embedding(values: np.ndarray) -> EmbeddingMatrix:
+def _embedding(values: np.ndarray, lines: list[int] | None = None) -> EmbeddingMatrix:
     """``EmbeddingMatrix(values)``; if it rejects a non-finite value, a
-    NonFiniteValueError naming its row and column instead."""
+    NonFiniteValueError naming its row, or its file line ``lines[row]`` when
+    ``lines`` is given, and its column instead."""
     try:
         return EmbeddingMatrix(values)
     except ValueError:
-        _check_finite(values)
+        at = _first_nonfinite(values)
+        if at is not None:
+            r, c = at
+            where = f"at row {r}" if lines is None else f"on line {lines[r]}"
+            raise NonFiniteValueError(f"non-finite value {where}, col {c}")
         raise
 
 
@@ -190,7 +189,7 @@ def read_csv(path: str) -> EmbeddingMatrix:
     """Read a CSV matrix one line at a time. Blank lines are skipped, a
     non-numeric first non-blank line is a header, and an error names the
     file's own line number."""
-    rows = []
+    rows, lines = [], []
     header = False
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -208,9 +207,10 @@ def read_csv(path: str) -> EmbeddingMatrix:
                 raise RaggedCsvError(
                     f"line {lineno} has {row.size} columns, expected {rows[0].size}")
             rows.append(row)
+            lines.append(lineno)
     if not rows:
         raise FormatError("CSV holds only a header line" if header else "empty CSV file")
-    return _embedding(np.stack(rows))
+    return _embedding(np.stack(rows), lines)
 
 
 # embedding file format name -> (reader, writer)

@@ -53,7 +53,6 @@ class PairGroups:
     source: PairedEmbeddings
     groups: list
     group_size: int
-    dropped: int
 
     def __post_init__(self):
         seen = np.concatenate([np.asarray(g) for g in self.groups]) if self.groups else np.array([])
@@ -61,7 +60,7 @@ class PairGroups:
             raise ValueError("groups overlap")
 
 
-def group_pairs(pairs: PairedEmbeddings, group_size: int = 100, seed: int = 0) -> PairGroups:
+def group_pairs(pairs: PairedEmbeddings, group_size: int, seed: int) -> PairGroups:
     """Uniformly random partition of pair indices, deterministic per seed.
 
     The trailing remainder group is kept only when it holds more than half
@@ -74,11 +73,9 @@ def group_pairs(pairs: PairedEmbeddings, group_size: int = 100, seed: int = 0) -
         raise ValueError(f"need at least one full group: n={n} < group_size={group_size}")
     perm = np.random.default_rng(seed).permutation(n)
     groups = [perm[i : i + group_size] for i in range(0, n, group_size)]
-    dropped = 0
     if len(groups[-1]) < group_size and len(groups[-1]) * 2 <= group_size:
-        dropped = len(groups[-1])
         groups = groups[:-1]
-    return PairGroups(source=pairs, groups=groups, group_size=group_size, dropped=dropped)
+    return PairGroups(source=pairs, groups=groups, group_size=group_size)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class GapReport:
     noise_direction: tuple
     n_groups: int
     group_size: int
-    skipped_zero_pairs: int = 0
+    skipped_zero_pairs: int
 
     def rows(self) -> list:
         """The five statistics in presentation order."""

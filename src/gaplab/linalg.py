@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-9
-DEFAULT_GAMMA = 0.99
 # Size of one gathered block of float64 pair rows: small enough to stay in a
 # core's L2 cache (128 rows at d=512).
 _BLOCK_BYTES = 512 * 1024
@@ -205,12 +204,11 @@ class SpectralSummary:
     """Descending spectrum of a covariance matrix plus its effective dimension.
 
     ``effective_dim`` is the minimal number of leading singular values whose
-    cumulative sum reaches at least ``gamma`` of the total.
+    cumulative sum reaches at least ``gamma`` of the sum of all of them.
     """
 
     singular_values: np.ndarray
     gamma: float
-    total: float = field(init=False)
     effective_dim: int = field(init=False)
 
     def __post_init__(self):
@@ -227,11 +225,10 @@ class SpectralSummary:
         ratios = np.cumsum(s) / total
         d_e = int(np.argmax(ratios >= self.gamma)) + 1
         object.__setattr__(self, "singular_values", s)
-        object.__setattr__(self, "total", total)
         object.__setattr__(self, "effective_dim", d_e)
 
 
-def spectral_summary(c: np.ndarray, gamma: float = DEFAULT_GAMMA) -> SpectralSummary:
+def spectral_summary(c: np.ndarray, gamma: float) -> SpectralSummary:
     """Spectrum and effective dimension of a symmetric PSD covariance matrix.
 
     For a PSD matrix the singular values equal the eigenvalues: a symmetric
@@ -346,7 +343,7 @@ def _pair_cosines(rows: np.ndarray, j: np.ndarray, k: np.ndarray,
     return np.clip(vals, -1.0, 1.0), int(ok.size - j.size)
 
 
-def mean_pairwise_cosine(m, seed: int = 0) -> tuple[float, float]:
+def mean_pairwise_cosine(m, seed: int) -> tuple[float, float]:
     """Mean and std of cosine similarity over unordered row pairs.
 
     All n(n-1)/2 pairs are enumerated when there are at most ``_MAX_PAIRS``

@@ -24,7 +24,6 @@ import numpy as np
 from .linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
-    SpectralSummary,
     _check_nonnegative_finite,
     _gap_frame,
     _row_blocks,
@@ -70,7 +69,7 @@ def make_gap_world(
     span_dim: int,
     gap_norm: float,
     sigma: float,
-    seed: int = 0,
+    seed: int,
     noise_mode: str = "full",
 ) -> GapWorld:
     """Sample a world realizing a constant orthogonal gap plus Gaussian noise.
@@ -123,8 +122,8 @@ def make_gap_world(
 class InitWorld:
     """Row-normalized embeddings of two modalities at "initialization".
 
-    Image rows vary only inside ``effective_dims_x`` and text rows only
-    inside ``effective_dims_y``; everywhere else each modality carries its
+    Image rows vary only in a leading block of dimensions and text rows only
+    in the block after it; everywhere else each modality carries its
     own per-dimension constant (exactly constant across rows before
     normalization). ``shared_ineffective`` indexes the dimensions constant
     in both modalities.
@@ -133,8 +132,6 @@ class InitWorld:
     pairs: PairedEmbeddings
     pre_norm_x: np.ndarray
     pre_norm_y: np.ndarray
-    effective_dims_x: np.ndarray
-    effective_dims_y: np.ndarray
     shared_ineffective: np.ndarray
 
 
@@ -176,8 +173,6 @@ def make_collapsed_init_world(
         pairs=pairs,
         pre_norm_x=pre_x,
         pre_norm_y=pre_y,
-        effective_dims_x=np.arange(0, dex),
-        effective_dims_y=np.arange(dex, dex + dey),
         shared_ineffective=np.arange(dex + dey, d),
     )
 
@@ -186,11 +181,11 @@ def make_collapsed_init_world(
 class MlpSimConfig:
     """Depth/width/probing settings for the feature-collapse simulation."""
 
-    depth: int = 20
-    width: int = 512
-    n_inputs: int = 1000
-    probe_stride: int = 5
-    seed: int = 0
+    depth: int
+    width: int
+    n_inputs: int
+    probe_stride: int
+    seed: int
     gamma: float = 0.99
 
     def __post_init__(self):
@@ -203,7 +198,7 @@ class MlpSimConfig:
 
 @dataclass(frozen=True)
 class MlpProbe:
-    """Spectral and cone measurements of the features at one layer.
+    """Effective dimension and cone statistics of the features at one layer.
 
     ``effective_dim`` is 0 and ``dead`` is True when the layer's activations
     carry no variance at all (total ReLU die-off); the cone statistics are
@@ -211,11 +206,10 @@ class MlpProbe:
     """
 
     layer: int
-    summary: SpectralSummary | None
     effective_dim: int
     cone_mean: float
     cone_std: float
-    dead: bool = False
+    dead: bool
 
 
 def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
@@ -225,20 +219,20 @@ def _probe(h: np.ndarray, layer: int, gamma: float, seed: int) -> MlpProbe:
     live = h if alive.all() else h[alive]
     cone = mean_pairwise_cosine(live, seed=seed) if live.shape[0] >= 2 else (0.0, 0.0)
     # Total die-off (or exactly constant features): no spectrum to report.
-    summary = None if float(np.abs(c).sum()) == 0.0 else spectral_summary(c, gamma)
-    return MlpProbe(layer=layer, summary=summary,
-                    effective_dim=0 if summary is None else summary.effective_dim,
-                    cone_mean=cone[0], cone_std=cone[1], dead=summary is None)
+    dead = float(np.abs(c).sum()) == 0.0
+    effective_dim = 0 if dead else spectral_summary(c, gamma).effective_dim
+    return MlpProbe(layer=layer, effective_dim=effective_dim,
+                    cone_mean=cone[0], cone_std=cone[1], dead=dead)
 
 
-def mlp_collapse_sim(cfg: MlpSimConfig = MlpSimConfig()) -> list[MlpProbe]:
+def mlp_collapse_sim(cfg: MlpSimConfig) -> list[MlpProbe]:
     """Forward Gaussian inputs through linear+ReLU blocks and probe features.
 
     Weights are Xavier-uniform, each layer's width x width matrix drawn
     from U[-b, b] with b = sqrt(6 / (width + width)); biases are zero.
     Layer 0 (the raw inputs) is always probed; afterwards every
     ``probe_stride``-th layer is. Each probe
-    reports the spectral summary of the feature covariance at ``cfg.gamma``
+    reports the effective dimension of the feature covariance at ``cfg.gamma``
     and the mean pairwise cosine between feature rows.
     """
     rng = np.random.default_rng(cfg.seed)

@@ -86,7 +86,7 @@ class TestCorrupt:
 
     def test_span_only_requires_direction(self):
         with pytest.raises(ValueError, match="gap_direction"):
-            C3Config(mode="span_only")
+            C3Config(mode="span_only", sigma=0.05)
 
     @pytest.mark.parametrize("g", [[1.0, 1.0], [np.nan, 0.0, 0.0], [np.inf, 0.0]])
     def test_direction_must_be_unit(self, g):

@@ -22,6 +22,8 @@ from gaplab.contrastive import (
 from gaplab.linalg import EmbeddingMatrix, PairedEmbeddings, l2_normalize_rows
 from gaplab.worlds import make_collapsed_init_world
 
+ONE_STEP = TrainerConfig(learning_rate=0.1, steps=1, renormalize_each_step=True,
+                         record_every=100, gradient_form="exact")
 
 def unit_batch(rng, n, d, tau=0.07):
     x = l2_normalize_rows(rng.standard_normal((n, d)))
@@ -235,7 +237,8 @@ class TestSpanGradients:
 class TestTrainer:
     def test_deterministic(self):
         w = make_collapsed_init_world(n=24, d=32, dex=4, dey=10, seed=1)
-        cfg = TrainerConfig(learning_rate=0.1, steps=50, record_every=10)
+        cfg = TrainerConfig(learning_rate=0.1, steps=50, record_every=10,
+                            renormalize_each_step=True, gradient_form="exact")
         a = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
         b = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
         np.testing.assert_array_equal(a.final.x.values, b.final.x.values)
@@ -243,14 +246,16 @@ class TestTrainer:
 
     def test_loss_decreases(self):
         w = make_collapsed_init_world(n=64, d=64, dex=6, dey=24, seed=2)
-        cfg = TrainerConfig(learning_rate=0.1, steps=400, record_every=100)
+        cfg = TrainerConfig(learning_rate=0.1, steps=400, record_every=100,
+                            renormalize_each_step=True, gradient_form="exact")
         res = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
         losses = [r.loss for r in res.trajectory]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_projection_keeps_rows_unit(self):
         w = make_collapsed_init_world(n=20, d=16, dex=3, dey=6, seed=3)
-        cfg = TrainerConfig(learning_rate=0.1, steps=30, record_every=30)
+        cfg = TrainerConfig(learning_rate=0.1, steps=30, record_every=30,
+                            renormalize_each_step=True, gradient_form="exact")
         res = train_contrastive(w.pairs, 0.07, cfg, masked_dims=w.shared_ineffective)
         norms = np.linalg.norm(res.final.x.values, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
@@ -279,7 +284,7 @@ class TestTrainer:
     def test_divergence_reports_step(self, tau, lr, record_every, message):
         w = make_collapsed_init_world(n=8, d=12, dex=2, dey=4, seed=5)
         cfg = TrainerConfig(learning_rate=lr, steps=50, record_every=record_every,
-                            renormalize_each_step=False)
+                            renormalize_each_step=False, gradient_form="exact")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError) as want:
                 ref_alloc_train(w.pairs, tau, cfg, w.shared_ineffective)
@@ -292,12 +297,12 @@ class TestTrainer:
         raw = EmbeddingMatrix(np.random.default_rng(0).standard_normal((4, 6)))
         pairs = PairedEmbeddings(x=raw, y=raw)
         with pytest.raises(ValueError, match="unit-norm"):
-            train_contrastive(pairs, 0.07, TrainerConfig(steps=1), masked_dims=[0])
+            train_contrastive(pairs, 0.07, ONE_STEP, masked_dims=[0])
 
     def test_masked_dims_required(self):
         w = make_collapsed_init_world(n=8, d=12, dex=2, dey=4, seed=5)
         with pytest.raises(TypeError, match="masked_dims"):
-            train_contrastive(w.pairs, 0.07, TrainerConfig(steps=1))
+            train_contrastive(w.pairs, 0.07, ONE_STEP)
 
 
 class TestMargin:
@@ -702,7 +707,8 @@ class TestWorkspaceTrainerMatchesAllocatingReference:
 
     def test_degenerating_projection_fails_at_the_reference_step(self):
         w = make_collapsed_init_world(n=16, d=12, dex=2, dey=4, seed=5)
-        cfg = TrainerConfig(learning_rate=4.33e153, steps=60, record_every=5)
+        cfg = TrainerConfig(learning_rate=4.33e153, steps=60, record_every=5,
+                            renormalize_each_step=True, gradient_form="exact")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError) as want:
                 ref_alloc_train(w.pairs, 0.07, cfg, w.shared_ineffective)
@@ -754,7 +760,8 @@ class TestReducedExactProjectedTraining:
 
     @staticmethod
     def cfg(lr=0.1, steps=60, record_every=20):
-        return TrainerConfig(learning_rate=lr, steps=steps, record_every=record_every)
+        return TrainerConfig(learning_rate=lr, steps=steps, record_every=record_every,
+                             renormalize_each_step=True, gradient_form="exact")
 
     def test_agrees_with_the_allocating_reference(self, monkeypatch):
         widths = _record_workspace_widths(monkeypatch)
@@ -824,7 +831,7 @@ class TestReducedExactProjectedTraining:
         init = w.pairs if projected else PairedEmbeddings(
             x=EmbeddingMatrix(w.pre_norm_x), y=EmbeddingMatrix(w.pre_norm_y))
         cfg = TrainerConfig(learning_rate=lr, steps=1, renormalize_each_step=projected,
-                            gradient_form=form)
+                            gradient_form=form, record_every=100)
         widths = _record_workspace_widths(monkeypatch)
         train_contrastive(init, 0.07, cfg,
                           masked_dims=w.shared_ineffective if mask == "world" else mask)
@@ -843,7 +850,7 @@ class TestReducedExactProjectedTraining:
             sides.append(l2_normalize_rows(a))
         widths = _record_workspace_widths(monkeypatch)
         train_contrastive(PairedEmbeddings(x=sides[0], y=sides[1]), 0.07,
-                          TrainerConfig(steps=1), masked_dims=m)
+                          ONE_STEP, masked_dims=m)
         assert widths == [512]
 
 
@@ -863,8 +870,10 @@ class TestMaskedDimsChecked:
 
         monkeypatch.setattr(contrastive, "_gradients", no_step)
         w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
+        cfg = TrainerConfig(learning_rate=0.1, steps=2, renormalize_each_step=True,
+                            record_every=100, gradient_form="exact")
         with pytest.raises(ValueError, match=message):
-            train_contrastive(w.pairs, 0.07, TrainerConfig(steps=2), masked_dims=masked_dims)
+            train_contrastive(w.pairs, 0.07, cfg, masked_dims=masked_dims)
 
 
 class TestTemperatureAndDeltaChecked:
@@ -879,9 +888,10 @@ class TestTemperatureAndDeltaChecked:
 
         monkeypatch.setattr(contrastive, "_gradients", no_step)
         w = make_collapsed_init_world(n=16, d=24, dex=3, dey=8, seed=0)
+        cfg = TrainerConfig(learning_rate=0.1, steps=50, renormalize_each_step=False,
+                            record_every=100, gradient_form="exact")
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
-            train_contrastive(w.pairs, tau, TrainerConfig(steps=50, renormalize_each_step=False),
-                              masked_dims=w.shared_ineffective)
+            train_contrastive(w.pairs, tau, cfg, masked_dims=w.shared_ineffective)
 
     @pytest.mark.parametrize("tau", BAD)
     def test_batch_rejects_tau(self, tau):

@@ -194,6 +194,13 @@ class TestCsv:
         with pytest.raises(NonFiniteValueError):
             read_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    def test_non_finite_named_by_file_line(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n\n1,2\n3,{cell}\n")  # matrix row 1 is line 4
+        with pytest.raises(NonFiniteValueError, match="^non-finite value on line 4, col 1$"):
+            read_csv(str(path))
+
 
 class TestDispatch:
     def test_ingest_export_round_trip(self, tmp_path):

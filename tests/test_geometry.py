@@ -23,7 +23,7 @@ class TestGroupPairs:
         g = group_pairs(w.pairs, group_size=100, seed=0)
         assert len(g.groups) == 10
         assert all(len(idx) == 100 for idx in g.groups)
-        assert g.dropped == 0
+        assert w.pairs.n - sum(len(idx) for idx in g.groups) == 0
 
     def test_deterministic_per_seed(self):
         w = make_gap_world(n=200, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=1)
@@ -36,18 +36,18 @@ class TestGroupPairs:
         w = make_gap_world(n=150, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=2)
         g = group_pairs(w.pairs, 100, seed=0)
         assert len(g.groups) == 1
-        assert g.dropped == 50
+        assert w.pairs.n - sum(len(idx) for idx in g.groups) == 50
 
     def test_majority_remainder_kept(self):
         w = make_gap_world(n=151, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=3)
         g = group_pairs(w.pairs, 100, seed=0)
         assert [len(idx) for idx in g.groups] == [100, 51]
-        assert g.dropped == 0
+        assert w.pairs.n - sum(len(idx) for idx in g.groups) == 0
 
     def test_too_small_rejected(self):
         w = make_gap_world(n=50, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=4)
         with pytest.raises(ValueError, match="full group"):
-            group_pairs(w.pairs, 100)
+            group_pairs(w.pairs, 100, seed=0)
 
 
 class TestGroupStatistics:

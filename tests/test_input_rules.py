@@ -19,8 +19,8 @@ from gaplab.worlds import make_gap_world
 
 NON_NEGATIVE = [  # (name in the message, the entry built with that value)
     ("sigma", lambda v: C3Config(sigma=v)),
-    ("sigma", lambda v: make_gap_world(50, 8, 3, 0.5, v)),
-    ("gap_norm", lambda v: make_gap_world(50, 8, 3, v, 0.05)),
+    ("sigma", lambda v: make_gap_world(50, 8, 3, 0.5, v, seed=0)),
+    ("gap_norm", lambda v: make_gap_world(50, 8, 3, v, 0.05, seed=0)),
     ("sigma_align", lambda v: make_toy_task(n=200, sigma_align=v)),
     ("gap_norm", lambda v: make_toy_task(n=200, gap_norm=v)),
 ]
@@ -28,7 +28,8 @@ ENTRY_IDS = ["C3Config", "gap_world-sigma", "gap_world-gap_norm", "toy_task-sigm
              "toy_task-gap_norm"]
 POSITIVE = [  # (name in the message, the entry built with that value)
     ("lam", lambda v: train_decoder(np.ones((3, 2)), np.ones((3, 1)), lam=v)),
-    ("learning rate", lambda v: TrainerConfig(learning_rate=v)),
+    ("learning rate", lambda v: TrainerConfig(learning_rate=v, steps=1000, renormalize_each_step=True,
+                                              record_every=100, gradient_form="exact")),
 ]
 
 
@@ -52,7 +53,7 @@ def test_positive_magnitudes_are_finite(name, build, value):
     (8, 0.5, "no orthogonal complement left for the gap: span_dim == d"),
 ])
 def test_generators_share_the_frame_rules(span_dim, gap_norm, message):
-    for build in (lambda: make_gap_world(50, 8, span_dim, gap_norm, 0.0),
+    for build in (lambda: make_gap_world(50, 8, span_dim, gap_norm, 0.0, seed=0),
                   lambda: make_toy_task(n=50, d=8, span_dim=span_dim, gap_norm=gap_norm)):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()

@@ -260,8 +260,9 @@ class TestSpectralSummary:
     def test_sum_matches_trace(self):
         rng = np.random.default_rng(2)
         c = covariance(rng.standard_normal((200, 32)))
-        s = spectral_summary(c)
-        assert abs(s.total - np.trace(c)) <= 1e-8 * abs(np.trace(c))
+        s = spectral_summary(c, 0.99)
+        total = s.singular_values.sum()
+        assert abs(total - np.trace(c)) <= 1e-8 * abs(np.trace(c))
 
     def test_rank_k_construction(self):
         rng = np.random.default_rng(13)
@@ -275,7 +276,7 @@ class TestSpectralSummary:
     @pytest.mark.parametrize("shape", [(1000, 512), (100, 512), (2, 3), (37, 129), (1000, 1)])
     def test_covariance_spectrum_is_its_eigvalsh(self, shape):
         c = covariance(np.random.default_rng(3).standard_normal(shape) * 3.0 + 1.0)
-        got = spectral_summary(c).singular_values
+        got = spectral_summary(c, 0.99).singular_values
         assert np.array_equal(got, np.clip(np.linalg.eigvalsh(c)[::-1], 0.0, None))
         # the averaged copy it once decomposed has the same bits
         assert np.array_equal((c + c.T) / 2.0, c)
@@ -283,15 +284,15 @@ class TestSpectralSummary:
     def test_rejects_non_symmetric(self):
         c = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            spectral_summary(c)
+            spectral_summary(c, 0.99)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            spectral_summary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            spectral_summary(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.99)
 
     def test_rejects_zero_spectrum(self):
         with pytest.raises(ValueError, match="zero total"):
-            spectral_summary(np.zeros((3, 3)))
+            spectral_summary(np.zeros((3, 3)), 0.99)
 
     @given(st.integers(0, 5_000), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -308,12 +309,12 @@ class TestSpectralSummary:
 class TestMeanPairwiseCosine:
     def test_identical_rows(self):
         m = np.tile([1.0, 2.0, 2.0], (5, 1))
-        mean, std = mean_pairwise_cosine(m)
+        mean, std = mean_pairwise_cosine(m, seed=0)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert std == pytest.approx(0.0, abs=1e-12)
 
     def test_standard_basis(self):
-        mean, std = mean_pairwise_cosine(np.eye(6))
+        mean, std = mean_pairwise_cosine(np.eye(6), seed=0)
         assert mean == 0.0
         assert std == 0.0
 
@@ -337,7 +338,7 @@ class TestMeanPairwiseCosine:
         m = np.ones((3, 2))
         m[1] = 0.0
         with pytest.raises(ValueError):
-            mean_pairwise_cosine(m)
+            mean_pairwise_cosine(m, seed=0)
 
     def test_enumerates_every_pair_up_to_the_budget(self):
         # 141 rows give 9,870 pairs, under the 10,000 budget: the seed is unused

@@ -196,15 +196,15 @@ def ref_unblocked_group_statistics(groups, pairs_per_group=1000, seed=0):
 
 
 def ref_unblocked_mlp_probes(cfg):
-    """(layer, live rows, cone, spectrum or None) per probe of the unfused forward."""
+    """(layer, live rows, cone, effective dimension or None) per probe of the unfused forward."""
     def probe(h, layer):
         c = covariance(h)
         live = h[np.linalg.norm(h, axis=1) > 0.0]
         cone = (ref_unblocked_mean_pairwise_cosine(live, seed=cfg.seed)
                 if live.shape[0] >= 2 else (0.0, 0.0))
-        spectrum = (None if float(np.abs(c).sum()) == 0.0
-                    else spectral_summary(c, cfg.gamma).singular_values)
-        return layer, live.shape[0], cone, spectrum
+        dim = (None if float(np.abs(c).sum()) == 0.0
+               else spectral_summary(c, cfg.gamma).effective_dim)
+        return layer, live.shape[0], cone, dim
 
     rng = np.random.default_rng(cfg.seed)
     h = rng.standard_normal((cfg.n_inputs, cfg.width))
@@ -239,7 +239,7 @@ def degenerate_groups():
     x[200:] = y[200:]
     pairs = PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y))
     groups = [np.arange(s, s + 50) for s in range(0, n, 50)]
-    return PairGroups(source=pairs, groups=groups, group_size=50, dropped=0)
+    return PairGroups(source=pairs, groups=groups, group_size=50)
 
 
 class TestSharedPrimitivesMatchReference:
@@ -370,11 +370,10 @@ class TestBlockedGathersMatchUnblocked:
         got = mlp_collapse_sim(cfg)
         want = ref_unblocked_mlp_probes(cfg)
         assert [p.layer for p in got] == [w[0] for w in want]
-        for p, (_, _, cone, spectrum) in zip(got, want):
+        for p, (_, _, cone, dim) in zip(got, want):
             assert (p.cone_mean, p.cone_std) == cone
-            assert p.dead == (spectrum is None)
-            if spectrum is not None:
-                assert np.array_equal(p.summary.singular_values, spectrum)
+            assert p.dead == (dim is None)
+            assert p.effective_dim == (0 if dim is None else dim)
         # the second net loses some rows but not all, so the probe's
         # live-row selection is exercised on both paths
         assert any(0 < live < cfg.n_inputs for _, live, _, _ in want) == partly_dead
