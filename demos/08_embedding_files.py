@@ -1,7 +1,8 @@
 """Moving embeddings in and out: the MMEB container and CSV.
 
 Real encoder embeddings can be dumped by any external tool into either
-format and analyzed with the same pipeline as the synthetic worlds.
+format and analyzed with the same pipeline as the synthetic worlds: here,
+one seeded ``group_statistics`` call over the pairs read back from MMEB.
 """
 
 import os
@@ -9,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from gaplab import PairedEmbeddings, group_pairs, group_statistics
+from gaplab import PairedEmbeddings, group_statistics
 from gaplab import export, ingest, l2_normalize_rows
 
 rng = np.random.default_rng(0)
@@ -26,7 +27,7 @@ with tempfile.TemporaryDirectory(prefix="gaplab-demo-") as workdir:
     print(f"wrote {os.path.getsize(x_path)} bytes per modality to {workdir}")
 
     pairs = PairedEmbeddings(x=ingest(x_path, "mmeb"), y=ingest(y_path, "mmeb"))
-    report = group_statistics(group_pairs(pairs, group_size=100, seed=0), seed=0)
+    report = group_statistics(pairs, group_size=100, seed=0)
     for name, mean, std in report.rows():
         print(f"  {name:<20}{mean:>9.4f} +- {std:.4f}")
     print("(storage is 32-bit; the 0.5 gap survives the round trip)")

@@ -35,9 +35,7 @@ from .contrastive import (
     loss_bound_check,
 )
 from .geometry import (
-    PairGroups,
     GapReport,
-    group_pairs,
     group_statistics,
     masked_gap_distance,
     per_dim_variance,

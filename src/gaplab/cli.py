@@ -45,7 +45,7 @@ from .contrastive import (_GRADIENT_FORMS, ContrastiveBatch, TrainerConfig, Trai
                           exact_gradients, train_contrastive)
 from .linalg import (EmbeddingMatrix, PairedEmbeddings, SpectralSummary, covariance,
                      l2_normalize_rows, spectral_summary)
-from .geometry import group_pairs, group_statistics, masked_gap_distance, per_dim_variance
+from .geometry import group_statistics, masked_gap_distance, per_dim_variance
 
 RANK_GAMMA = 1.0 - 1e-9
 
@@ -297,8 +297,7 @@ def _cmd_gap_stats(p):
         x = embio.ingest(p["x_file"], p["file_format"])
         y = embio.ingest(p["y_file"], p["file_format"])
         pairs = PairedEmbeddings(x=x, y=y)
-    groups = group_pairs(pairs, p["group_size"], p["seed"])
-    rep = group_statistics(groups, p["pairs_per_group"], p["seed"])
+    rep = group_statistics(pairs, p["group_size"], p["seed"], p["pairs_per_group"])
     results = {name: {"mean": mean, "std": std} for name, mean, std in rep.rows()}
     results["n_groups"] = rep.n_groups
     results["skipped_zero_pairs"] = rep.skipped_zero_pairs
@@ -425,11 +424,11 @@ _COMMANDS = {
 
 def _has_type(value, default) -> bool:
     """Whether a config value may stand where ``default`` does (bools are not ints,
-    and a float is finite)."""
+    and a float is finite: an int too large for a float is not)."""
     if isinstance(default, list):
         return isinstance(value, list) and len(value) > 0 and all(_has_type(v, 0.0) for v in value)
     if isinstance(default, float):
-        return type(value) in (int, float) and math.isfinite(value)
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is type(default)
 
 

@@ -185,10 +185,18 @@ def write_csv(matrix, path: str) -> None:
     _atomic_write(path, blocks)
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv(path: str) -> EmbeddingMatrix:
-    """Read a CSV matrix one line at a time. Blank lines are skipped, a
-    non-numeric first non-blank line is a header, and an error names the
-    file's own line number."""
+    """Read a CSV matrix one line at a time. Blank lines are skipped, a first
+    non-blank line none of whose cells is a number is a header, and an error
+    names the file's own line number."""
     rows, lines = [], []
     header = False
     with open(path, "r", encoding="ascii") as fh:
@@ -199,7 +207,7 @@ def read_csv(path: str) -> EmbeddingMatrix:
             try:
                 row = np.fromiter(map(float, tokens), np.float64, len(tokens))
             except ValueError:
-                if rows or header:
+                if rows or header or any(map(_is_number, tokens)):
                     raise RaggedCsvError(f"unparseable value on line {lineno}") from None
                 header = True
                 continue

@@ -1,10 +1,11 @@
 """Statistical verification of the gap-plus-noise geometry of paired embeddings.
 
-Pairs are randomly partitioned into groups. Within group i, the per-pair
-difference d_j = x_j - y_j splits into the group mean d_i (the modality gap
-estimate, noise averages out) and the residual eps_j = d_j - d_i (the
-alignment noise estimate). Five statistics summarize the geometry, each as
-(mean, std):
+One call, ``group_statistics``, partitions the pairs into random groups and
+summarizes them; a single seed fixes both the grouping and the sampled
+within-group pairs. Within group i, the per-pair difference d_j = x_j - y_j
+splits into the group mean d_i (the modality gap estimate, noise averages
+out) and the residual eps_j = d_j - d_i (the alignment noise estimate). Five
+statistics summarize the geometry, each as (mean, std):
 
 * gap length      ||d_i|| over groups
 * gap direction   cos(d_i, d_j) over group pairs
@@ -31,51 +32,13 @@ from .linalg import (PairedEmbeddings, _checked_mask, _index_pairs, _pair_cosine
                      as_array)
 
 __all__ = [
-    "PairGroups",
     "GapReport",
-    "group_pairs",
     "group_statistics",
     "masked_gap_distance",
     "per_dim_variance",
 ]
 
 ZERO_VECTOR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PairGroups:
-    """A disjoint partition of pair indices into groups.
-
-    Every group has ``group_size`` members except possibly the last; a
-    remainder of at most half a group is dropped rather than kept.
-    """
-
-    source: PairedEmbeddings
-    groups: list
-    group_size: int
-
-    def __post_init__(self):
-        seen = np.concatenate([np.asarray(g) for g in self.groups]) if self.groups else np.array([])
-        if seen.size != np.unique(seen).size:
-            raise ValueError("groups overlap")
-
-
-def group_pairs(pairs: PairedEmbeddings, group_size: int, seed: int) -> PairGroups:
-    """Uniformly random partition of pair indices, deterministic per seed.
-
-    The trailing remainder group is kept only when it holds more than half
-    of ``group_size`` members.
-    """
-    if group_size < 2:
-        raise ValueError(f"group_size must be >= 2, got {group_size}")
-    n = pairs.n
-    if n < group_size:
-        raise ValueError(f"need at least one full group: n={n} < group_size={group_size}")
-    perm = np.random.default_rng(seed).permutation(n)
-    groups = [perm[i : i + group_size] for i in range(0, n, group_size)]
-    if len(groups[-1]) < group_size and len(groups[-1]) * 2 <= group_size:
-        groups = groups[:-1]
-    return PairGroups(source=pairs, groups=groups, group_size=group_size)
 
 
 @dataclass(frozen=True)
@@ -109,21 +72,34 @@ def _mean_std(v: np.ndarray) -> tuple:
 
 
 def group_statistics(
-    groups: PairGroups,
+    pairs: PairedEmbeddings,
+    group_size: int,
+    seed: int,
     pairs_per_group: int = 1000,
-    seed: int = 0,
 ) -> GapReport:
-    """Compute the five gap/noise statistics over a grouped pairing.
+    """Compute the five gap/noise statistics over a random grouping of ``pairs``.
 
-    Within-group index pairs for the orthogonality and noise-direction
-    statistics are enumerated exhaustively when there are at most
-    ``pairs_per_group`` of them and uniformly subsampled (seeded) otherwise.
-    Cosines involving a vector of norm below 1e-12 are skipped and tallied.
+    The groups are ``default_rng(seed).permutation(n)`` cut into chunks of
+    ``group_size``; a trailing chunk is kept only when it holds more than
+    half a group. Within-group index pairs for the orthogonality and
+    noise-direction statistics are enumerated exhaustively when there are at
+    most ``pairs_per_group`` of them and uniformly subsampled otherwise, from
+    a second ``default_rng(seed)``. Cosines involving a vector of norm below
+    1e-12 are skipped and tallied.
     """
-    if len(groups.groups) < 2:
+    if group_size < 2:
+        raise ValueError(f"group_size must be >= 2, got {group_size}")
+    n = pairs.n
+    if n < group_size:
+        raise ValueError(f"need at least one full group: n={n} < group_size={group_size}")
+    perm = np.random.default_rng(seed).permutation(n)
+    groups = [perm[i : i + group_size] for i in range(0, n, group_size)]
+    if len(groups[-1]) * 2 <= group_size:
+        groups = groups[:-1]
+    if len(groups) < 2:
         raise ValueError("need at least 2 groups for the gap-direction statistic")
-    x = groups.source.x.values
-    y = groups.source.y.values
+    x = pairs.x.values
+    y = pairs.y.values
     rng = np.random.default_rng(seed)
 
     gap_vectors = []
@@ -134,7 +110,7 @@ def group_statistics(
     eps_count = 0
     skipped = 0
 
-    for idx in groups.groups:
+    for idx in groups:
         gx = x[idx]
         diffs = gx - y[idx]
         d_i = diffs.mean(axis=0)
@@ -167,7 +143,7 @@ def group_statistics(
         skipped += miss
 
     gap_vectors = np.asarray(gap_vectors)
-    dir_vals, miss = _pair_cosines(gap_vectors, *np.triu_indices(len(groups.groups), k=1),
+    dir_vals, miss = _pair_cosines(gap_vectors, *np.triu_indices(len(groups), k=1),
                                    ZERO_VECTOR_TOL)
     skipped += miss
 
@@ -178,8 +154,8 @@ def group_statistics(
         gap_orthogonality=_mean_std(np.concatenate(ortho_vals)),
         noise_mean=_mean_std(per_dim_noise_mean),
         noise_direction=_mean_std(np.concatenate(noise_dir_vals)),
-        n_groups=len(groups.groups),
-        group_size=groups.group_size,
+        n_groups=len(groups),
+        group_size=group_size,
         skipped_zero_pairs=skipped,
     )
 

@@ -25,7 +25,7 @@ from gaplab.contrastive import (
     train_contrastive,
 )
 from gaplab.embio import read_mmeb, write_mmeb
-from gaplab.geometry import group_pairs, group_statistics, masked_gap_distance
+from gaplab.geometry import group_statistics, masked_gap_distance
 from gaplab.linalg import (
     EmbeddingMatrix,
     PairedEmbeddings,
@@ -224,7 +224,7 @@ def test_criterion_5_stable_region_bound():
 def test_criterion_6_gap_statistics_recovery():
     start = time.monotonic()
     w = make_gap_world(n=10_000, d=512, span_dim=64, gap_norm=0.83, sigma=0.05, seed=0)
-    rep = group_statistics(group_pairs(w.pairs, group_size=100, seed=0), seed=0)
+    rep = group_statistics(w.pairs, group_size=100, seed=0)
     elapsed = time.monotonic() - start
     ok = (
         abs(rep.gap_length[0] - 0.83) <= 0.02

@@ -655,11 +655,13 @@ SMALL = {
     "export": {"in_file": "in.mmeb", "out_file": "out.csv"},
 }
 HOSTILE = ("zero", "minus_one", "wrong_type", "empty_list", "bad_string", "nan")
+HUGE_INT = 10**400  # an int that overflows a float
 
 
 def hostile_value(kind, default):
     return {"zero": 0, "minus_one": -1, "wrong_type": WRONG_TYPE[type(default)],
-            "empty_list": [], "bad_string": "bogus", "nan": math.nan}[kind]
+            "empty_list": [], "bad_string": "bogus", "nan": math.nan,
+            "huge_int": HUGE_INT, "huge_int_entry": [HUGE_INT]}[kind]
 
 
 def run_hostile(command, key, kind):
@@ -697,3 +699,15 @@ class TestHostileConfigValues:
         if rc == 2:
             assert err.count("\n") == 1 and err.startswith(f"gaplab {case[0]}: error: "), err
             assert not wrote
+
+    @pytest.mark.parametrize("command,key,kind,must_be", [
+        ("train-sim", "tau", "huge_int", "a finite number"),
+        ("gap-stats", "gap_norm", "huge_int", "a finite number"),
+        ("stable-region", "taus", "huge_int_entry", "a non-empty list of finite numbers"),
+    ])
+    def test_int_too_large_for_a_float_is_not_finite(self, command, key, kind, must_be):
+        rc, err, wrote = run_hostile(command, key, kind)
+        value = hostile_value(kind, 0.0)
+        assert (rc, wrote) == (2, False)
+        assert err == f"gaplab {command}: error: config key {key} for {command} must be " \
+                      f"{must_be}, got {value!r}\n"

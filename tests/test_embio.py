@@ -156,6 +156,8 @@ class TestCsv:
         ("1,2\n\n\n3,4\nx,5\n", "unparseable value on line 5"),
         ("1,2\n\n3,4\n5\n", "line 4 has 1 columns, expected 2"),
         ("1,2\n3\nx,y\n", "line 2 has 1 columns, expected 2"),  # the first defect
+        ("1,2,\n3,4\n", "unparseable value on line 1"),  # a numeric cell: not a header
+        ("1,,2\n3,4,5\n", "unparseable value on line 1"),
     ])
     def test_errors_name_the_file_line(self, tmp_path, text, message):
         path = tmp_path / "m.csv"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaplab.geometry import (
-    group_pairs,
     group_statistics,
     masked_gap_distance,
     per_dim_variance,
@@ -17,45 +16,42 @@ def pairs_from(x, y):
     return PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y))
 
 
-class TestGroupPairs:
+class TestGrouping:
+    """``group_statistics`` cuts ``default_rng(seed).permutation(n)`` into groups."""
+
     def test_even_partition(self):
         w = make_gap_world(n=1000, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=0)
-        g = group_pairs(w.pairs, group_size=100, seed=0)
-        assert len(g.groups) == 10
-        assert all(len(idx) == 100 for idx in g.groups)
-        assert w.pairs.n - sum(len(idx) for idx in g.groups) == 0
+        rep = group_statistics(w.pairs, group_size=100, seed=0)
+        assert (rep.n_groups, rep.group_size) == (10, 100)
 
     def test_deterministic_per_seed(self):
         w = make_gap_world(n=200, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=1)
-        a = group_pairs(w.pairs, 100, seed=7)
-        b = group_pairs(w.pairs, 100, seed=7)
-        for ga, gb in zip(a.groups, b.groups):
-            np.testing.assert_array_equal(ga, gb)
+        assert group_statistics(w.pairs, 100, seed=7) == group_statistics(w.pairs, 100, seed=7)
 
     def test_half_remainder_dropped(self):
-        w = make_gap_world(n=150, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=2)
-        g = group_pairs(w.pairs, 100, seed=0)
-        assert len(g.groups) == 1
-        assert w.pairs.n - sum(len(idx) for idx in g.groups) == 50
+        w = make_gap_world(n=250, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=2)
+        assert group_statistics(w.pairs, 100, seed=0).n_groups == 2
 
     def test_majority_remainder_kept(self):
-        w = make_gap_world(n=151, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=3)
-        g = group_pairs(w.pairs, 100, seed=0)
-        assert [len(idx) for idx in g.groups] == [100, 51]
-        assert w.pairs.n - sum(len(idx) for idx in g.groups) == 0
+        w = make_gap_world(n=251, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=3)
+        assert group_statistics(w.pairs, 100, seed=0).n_groups == 3
 
-    def test_too_small_rejected(self):
-        w = make_gap_world(n=50, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=4)
-        with pytest.raises(ValueError, match="full group"):
-            group_pairs(w.pairs, 100, seed=0)
+    @pytest.mark.parametrize("n,group_size,message", [
+        (50, 1, "group_size must be >= 2, got 1"),
+        (50, 100, "need at least one full group: n=50 < group_size=100"),
+        (150, 100, "need at least 2 groups for the gap-direction statistic"),
+    ])
+    def test_too_small_rejected(self, n, group_size, message):
+        w = make_gap_world(n=n, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            group_statistics(w.pairs, group_size, seed=0)
 
 
 class TestGroupStatistics:
     def test_identical_modalities(self):
         rng = np.random.default_rng(0)
         m = l2_normalize_rows(rng.standard_normal((400, 16))).values
-        groups = group_pairs(pairs_from(m, m.copy()), group_size=100, seed=0)
-        rep = group_statistics(groups, seed=0)
+        rep = group_statistics(pairs_from(m, m.copy()), group_size=100, seed=0)
         assert rep.gap_length == (0.0, 0.0)
         assert abs(rep.noise_mean[0]) < 1e-15
         # every gap and noise cosine is degenerate and must be tallied
@@ -63,7 +59,7 @@ class TestGroupStatistics:
 
     def test_recovers_known_geometry(self):
         w = make_gap_world(n=2000, d=64, span_dim=16, gap_norm=0.83, sigma=0.05, seed=5)
-        rep = group_statistics(group_pairs(w.pairs, 100, seed=0), seed=0)
+        rep = group_statistics(w.pairs, 100, seed=0)
         assert abs(rep.gap_length[0] - 0.83) < 0.03
         assert rep.gap_direction[0] > 0.95
         assert abs(rep.gap_orthogonality[0]) < 0.03
@@ -74,18 +70,18 @@ class TestGroupStatistics:
         w = make_gap_world(n=500, d=24, span_dim=6, gap_norm=0.5, sigma=0.05, seed=6)
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((24, 24)))
         rotated = pairs_from(w.pairs.x.values @ q.T, w.pairs.y.values @ q.T)
-        rep = group_statistics(group_pairs(w.pairs, 100, seed=3), seed=3)
-        rot = group_statistics(group_pairs(rotated, 100, seed=3), seed=3)
+        rep = group_statistics(w.pairs, 100, seed=3)
+        rot = group_statistics(rotated, 100, seed=3)
         for a, b in zip(rep.rows(), rot.rows()):
             assert a[1] == pytest.approx(b[1], abs=1e-9)
             assert a[2] == pytest.approx(b[2], abs=1e-9)
 
     def test_within_group_noise_sums_to_zero(self):
         w = make_gap_world(n=256, d=16, span_dim=5, gap_norm=0.3, sigma=0.1, seed=7)
-        groups = group_pairs(w.pairs, 128, seed=0)
+        perm = np.random.default_rng(0).permutation(256)  # group_statistics' groups at seed 0
         x = w.pairs.x.values
         y = w.pairs.y.values
-        for idx in groups.groups:
+        for idx in (perm[:128], perm[128:]):
             diffs = x[idx] - y[idx]
             eps = diffs - diffs.mean(axis=0)
             assert np.abs(eps.sum(axis=0)).max() < 1e-14 * max(1.0, np.abs(diffs).max())
@@ -94,20 +90,20 @@ class TestGroupStatistics:
         means = {}
         for n in (500, 2000):
             w = make_gap_world(n=n, d=32, span_dim=8, gap_norm=0.83, sigma=0.05, seed=11)
-            rep = group_statistics(group_pairs(w.pairs, 100, seed=0), seed=0)
+            rep = group_statistics(w.pairs, 100, seed=0)
             means[n] = abs(rep.gap_orthogonality[0])
         assert means[2000] <= means[500] / 2 + 1e-4
 
     def test_needs_two_groups(self):
         w = make_gap_world(n=100, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=8)
         with pytest.raises(ValueError, match="2 groups"):
-            group_statistics(group_pairs(w.pairs, 100, seed=0))
+            group_statistics(w.pairs, 100, seed=0)
 
     @pytest.mark.parametrize("pairs_per_group", [0, -5])
     def test_rejects_pair_budget_below_one(self, pairs_per_group):
         w = make_gap_world(n=200, d=8, span_dim=3, gap_norm=0.1, sigma=0.01, seed=8)
         with pytest.raises(ValueError, match=f"pair budget must be >= 1, got {pairs_per_group}"):
-            group_statistics(group_pairs(w.pairs, 100, seed=0), pairs_per_group)
+            group_statistics(w.pairs, 100, 0, pairs_per_group)
 
 
 class TestGapVector:

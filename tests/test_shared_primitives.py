@@ -5,10 +5,13 @@ The references below are those implementations, copied verbatim: the
 within-group pair sampler and row-wise cosines of ``geometry``, the
 normalize-then-dot ``mean_pairwise_cosine`` of ``linalg``, the grouped
 statistics loop built on them, and the inline margin and crowding sum of
-``loss_bound_check``. Everything that does not take a cosine of a gap
-vector or a normalized row matches bit for bit; gap orthogonality (one
-dot with the gap vector per row now) and the pairwise cosines (row norms divided out after the dot
-product now) may move by rounding, at most 1e-15.
+``loss_bound_check``. The grouped references take ``(pairs, group_size,
+seed)`` as ``group_statistics`` does and rebuild its partition, the chunks
+of ``default_rng(seed).permutation(n)``, with ``ref_groups``. Everything
+that does not take a cosine of a gap vector or a normalized row matches bit
+for bit; gap orthogonality (one dot with the gap vector per row now) and
+the pairwise cosines (row norms divided out after the dot product now) may
+move by rounding, at most 1e-15.
 
 ``TestBlockedGathersMatchUnblocked`` holds the pair cosines, the grouped
 statistics and the MLP forward as they were before pair rows were gathered
@@ -26,7 +29,7 @@ import pytest
 
 from gaplab import linalg
 from gaplab.contrastive import ContrastiveBatch, loss_bound_check, stable_region_threshold
-from gaplab.geometry import GapReport, PairGroups, group_pairs, group_statistics
+from gaplab.geometry import GapReport, group_statistics
 from gaplab.linalg import (EmbeddingMatrix, PairedEmbeddings, _index_pairs, covariance,
                            l2_normalize_rows, mean_pairwise_cosine, spectral_summary)
 from gaplab.worlds import MlpSimConfig, make_gap_world, mlp_collapse_sim
@@ -60,15 +63,24 @@ def ref_mean_std(v):
     return (float(np.mean(v)), float(np.std(v)))
 
 
-def ref_group_statistics(groups, pairs_per_group=1000, seed=0):
-    x = groups.source.x.values
-    y = groups.source.y.values
+def ref_groups(n, group_size, seed):
+    """The grouping ``group_statistics`` draws: ``default_rng(seed).permutation(n)``
+    in chunks of ``group_size``, a trailing chunk kept only above half a group."""
+    perm = np.random.default_rng(seed).permutation(n)
+    groups = [perm[i : i + group_size] for i in range(0, n, group_size)]
+    return groups if len(groups[-1]) * 2 > group_size else groups[:-1]
+
+
+def ref_group_statistics(pairs, group_size, seed, pairs_per_group=1000):
+    groups = ref_groups(pairs.n, group_size, seed)
+    x = pairs.x.values
+    y = pairs.y.values
     rng = np.random.default_rng(seed)
     gap_vectors, gap_lengths, ortho_vals, noise_dir_vals = [], [], [], []
     eps_sum = np.zeros(x.shape[1])
     eps_count = 0
     skipped = 0
-    for idx in groups.groups:
+    for idx in groups:
         gx = x[idx]
         diffs = gx - y[idx]
         d_i = diffs.mean(axis=0)
@@ -88,7 +100,7 @@ def ref_group_statistics(groups, pairs_per_group=1000, seed=0):
         noise_dir_vals.append(vals)
         skipped += miss
     gap_vectors = np.asarray(gap_vectors)
-    iu = np.triu_indices(len(groups.groups), k=1)
+    iu = np.triu_indices(len(groups), k=1)
     dir_vals, miss = ref_cosines(gap_vectors[iu[0]], gap_vectors[iu[1]])
     skipped += miss
     return GapReport(
@@ -97,8 +109,8 @@ def ref_group_statistics(groups, pairs_per_group=1000, seed=0):
         gap_orthogonality=ref_mean_std(np.concatenate(ortho_vals)),
         noise_mean=ref_mean_std(eps_sum / eps_count),
         noise_direction=ref_mean_std(np.concatenate(noise_dir_vals)),
-        n_groups=len(groups.groups),
-        group_size=groups.group_size,
+        n_groups=len(groups),
+        group_size=group_size,
         skipped_zero_pairs=skipped,
     )
 
@@ -150,15 +162,16 @@ def ref_unblocked_mean_pairwise_cosine(a, seed=0):
     return float(vals.mean()), float(vals.std())
 
 
-def ref_unblocked_group_statistics(groups, pairs_per_group=1000, seed=0):
-    x = groups.source.x.values
-    y = groups.source.y.values
+def ref_unblocked_group_statistics(pairs, group_size, seed, pairs_per_group=1000):
+    groups = ref_groups(pairs.n, group_size, seed)
+    x = pairs.x.values
+    y = pairs.y.values
     rng = np.random.default_rng(seed)
     gap_vectors, gap_lengths, ortho_vals, noise_dir_vals = [], [], [], []
     eps_sum = np.zeros(x.shape[1])
     eps_count = 0
     skipped = 0
-    for idx in groups.groups:
+    for idx in groups:
         gx = x[idx]
         diffs = gx - y[idx]
         d_i = diffs.mean(axis=0)
@@ -181,7 +194,7 @@ def ref_unblocked_group_statistics(groups, pairs_per_group=1000, seed=0):
         skipped += miss
     gap_vectors = np.asarray(gap_vectors)
     dir_vals, miss = ref_unblocked_pair_cosines(
-        gap_vectors, *np.triu_indices(len(groups.groups), k=1), ZERO_VECTOR_TOL)
+        gap_vectors, *np.triu_indices(len(groups), k=1), ZERO_VECTOR_TOL)
     skipped += miss
     return GapReport(
         gap_length=ref_mean_std(np.asarray(gap_lengths)),
@@ -189,8 +202,8 @@ def ref_unblocked_group_statistics(groups, pairs_per_group=1000, seed=0):
         gap_orthogonality=ref_mean_std(np.concatenate(ortho_vals)),
         noise_mean=ref_mean_std(eps_sum / eps_count),
         noise_direction=ref_mean_std(np.concatenate(noise_dir_vals)),
-        n_groups=len(groups.groups),
-        group_size=groups.group_size,
+        n_groups=len(groups),
+        group_size=group_size,
         skipped_zero_pairs=skipped,
     )
 
@@ -218,15 +231,19 @@ def ref_unblocked_mlp_probes(cfg):
     return probes
 
 
-def degenerate_groups():
-    """Explicit groups on which every kind of cosine meets zero-norm vectors.
+def degenerate_pairs(seed):
+    """250 pairs on whose groups of 50 at ``seed`` every kind of cosine meets
+    zero-norm vectors.
 
-    Rows 0-99 carry noise, so their groups are ordinary. Rows 100-199 have
-    x - y equal to one constant gap, so their residuals are rounding-sized
-    (below 1e-12) and every noise-direction pair there is skipped. Rows
-    200-249 have x == y: a zero gap vector, whose orthogonality pairs and
-    gap-direction pairs are all skipped. Rows 0-24 repeat as rows 25-49 on
-    the x side, so some within-group differences x_j - x_k are zero too.
+    Rows are built in group order, then row t moves to ``perm[t]``, where
+    ``perm = default_rng(seed).permutation(250)`` as in ``group_statistics``:
+    group g then holds built rows 50g to 50g + 49, in that order. Built rows
+    0-99 carry noise, so their groups are ordinary. Rows 100-199 have x - y
+    equal to one constant gap, so their residuals are rounding-sized (below
+    1e-12) and every noise-direction pair there is skipped. Rows 200-249 have
+    x == y: a zero gap vector, whose orthogonality pairs and gap-direction
+    pairs are all skipped. Rows 0-24 repeat as rows 25-49 on the x side, so
+    some within-group differences x_j - x_k are zero too.
     """
     rng = np.random.default_rng(3)
     n, d = 250, 12
@@ -237,9 +254,10 @@ def degenerate_groups():
     x[:100] += 0.05 * rng.standard_normal((100, d))
     x[25:50] = x[:25]
     x[200:] = y[200:]
-    pairs = PairedEmbeddings(x=EmbeddingMatrix(x), y=EmbeddingMatrix(y))
-    groups = [np.arange(s, s + 50) for s in range(0, n, 50)]
-    return PairGroups(source=pairs, groups=groups, group_size=50)
+    perm = np.random.default_rng(seed).permutation(n)
+    placed_x, placed_y = np.empty_like(x), np.empty_like(y)
+    placed_x[perm], placed_y[perm] = x, y
+    return PairedEmbeddings(x=EmbeddingMatrix(placed_x), y=EmbeddingMatrix(placed_y))
 
 
 class TestSharedPrimitivesMatchReference:
@@ -259,12 +277,12 @@ class TestSharedPrimitivesMatchReference:
     ])
     def test_group_statistics(self, source, group_size, pairs_per_group):
         if source == "world":
-            w = make_gap_world(n=2000, d=32, span_dim=8, gap_norm=0.83, sigma=0.05, seed=5)
-            groups = group_pairs(w.pairs, group_size=group_size, seed=2)
+            pairs = make_gap_world(n=2000, d=32, span_dim=8, gap_norm=0.83, sigma=0.05,
+                                   seed=5).pairs
         else:
-            groups = degenerate_groups()
-        got = group_statistics(groups, pairs_per_group, seed=7)
-        want = ref_group_statistics(groups, pairs_per_group, seed=7)
+            pairs = degenerate_pairs(seed=7)
+        got = group_statistics(pairs, group_size, 7, pairs_per_group)
+        want = ref_group_statistics(pairs, group_size, 7, pairs_per_group)
         for field in ("gap_length", "gap_direction", "noise_mean", "noise_direction",
                       "n_groups", "group_size", "skipped_zero_pairs"):
             assert getattr(got, field) == getattr(want, field), field
@@ -273,8 +291,7 @@ class TestSharedPrimitivesMatchReference:
             assert got.skipped_zero_pairs > 0
 
     def test_degenerate_groups_skip_every_kind_of_pair(self):
-        groups = degenerate_groups()
-        full = group_statistics(groups, 5000, seed=0).skipped_zero_pairs
+        full = group_statistics(degenerate_pairs(seed=0), 50, 0, 5000).skipped_zero_pairs
         within = 50 * 49 // 2
         # two rounding-residual groups (noise direction), the x == y group
         # (orthogonality and noise direction), its 4 gap-direction pairs and
@@ -349,13 +366,14 @@ class TestBlockedGathersMatchUnblocked:
     ])
     def test_group_statistics(self, monkeypatch, rows, source, pairs_per_group):
         if source == "world":
-            w = make_gap_world(n=2000, d=512, span_dim=16, gap_norm=0.83, sigma=0.05, seed=5)
-            groups = group_pairs(w.pairs, group_size=100, seed=2)
+            pairs = make_gap_world(n=2000, d=512, span_dim=16, gap_norm=0.83, sigma=0.05,
+                                   seed=5).pairs
+            group_size = 100
         else:
-            groups = degenerate_groups()
-        set_block_rows(monkeypatch, rows, groups.source.d)
-        got = group_statistics(groups, pairs_per_group, seed=7)
-        want = ref_unblocked_group_statistics(groups, pairs_per_group, seed=7)
+            pairs, group_size = degenerate_pairs(seed=7), 50
+        set_block_rows(monkeypatch, rows, pairs.d)
+        got = group_statistics(pairs, group_size, 7, pairs_per_group)
+        want = ref_unblocked_group_statistics(pairs, group_size, 7, pairs_per_group)
         for field in ("gap_length", "gap_direction", "gap_orthogonality", "noise_mean",
                       "noise_direction", "n_groups", "group_size", "skipped_zero_pairs"):
             assert getattr(got, field) == getattr(want, field), field

@@ -12,6 +12,10 @@ that this script writes to CSV, and ``gap-stats`` analyzes a pair of such
 files. The configs name those files by paths relative to the run directory,
 so both trees echo the same config. ``gap-stats-span`` runs gap-stats on a
 world with span-mode noise, which its defaults (full-mode) do not reach.
+``gap-stats-remainder-dropped`` (``{"n": 10049}``, 100 groups) and
+``gap-stats-remainder-kept`` (``{"n": 10051}``, 101 groups) leave a trailing
+chunk of 49 and of 51 pairs, so the grouping drops one and keeps the other;
+at the defaults' 10,000 pairs no chunk trails.
 ``c3-bench-40-classes`` scores 40-dimensional codes (two seeds), so the
 nearest-code sums run over 40 terms where the defaults' run over 10.
 ``c3-bench-sigma-zero`` puts sigma 0 in the grid, so the corrupting
@@ -204,6 +208,8 @@ def main(argv=None) -> int:
              ("gap-stats-files", "gap-stats",
               {"x_file": INPUT_PATH.format("x"), "y_file": INPUT_PATH.format("y")}),
              ("gap-stats-span", "gap-stats", {"noise_mode": "span"}),
+             ("gap-stats-remainder-dropped", "gap-stats", {"n": 10049}),
+             ("gap-stats-remainder-kept", "gap-stats", {"n": 10051}),
              ("c3-bench-40-classes", "c3-bench", {"classes": 40, "span_dim": 48, "seeds": 2}),
              ("c3-bench-sigma-zero", "c3-bench", {"sigma_grid": [0.0, 0.05], "seeds": 1, "n": 400}),
              ("train-sim-long-running", "train-sim", {"long_running": True, "steps": 300}),
